@@ -49,7 +49,6 @@ from .order import (
     is_canonical,
     is_canonical_counted,
     isomorphic,
-    isomorphic_oracle,
     less,
 )
 from .search import (
@@ -98,7 +97,6 @@ __all__ = [
     "is_canonical_counted",
     "is_canonical_incremental",
     "isomorphic",
-    "isomorphic_oracle",
     "less",
     "make_config",
     "parse_config",

@@ -2,13 +2,15 @@
 
 Exit codes: 0 for success, 1 for a negative domain answer (`check` on a
 non-canonical or non-conforming tree, `iso` on non-isomorphic trees),
-2 for usage, parse, or validation errors.
+2 for usage, parse, or validation errors, 3 for an internal error (an
+unexpected exception, reported with its traceback on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from functools import cmp_to_key
 from itertools import islice
 from pathlib import Path
@@ -211,6 +213,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # never exit 1, which is a domain answer
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cmp_to_key
-from itertools import zip_longest
 
 from .core import TTree
 
@@ -153,39 +152,3 @@ def isomorphic(a: TTree, b: TTree) -> bool:
     """True iff the trees are equal up to reordering within T-lists."""
     return a.label == b.label and canonicalize(a) == canonicalize(b)
 
-
-def isomorphic_oracle(a: TTree, b: TTree) -> bool:
-    """Isomorphism by exhaustive matching, independent of the tree order.
-
-    Searches for a bijection between the T-lists of the two trees whose
-    pairs are recursively isomorphic.  Exponential in the worst case;
-    meant for cross-checking `isomorphic` on small trees.
-    """
-    if a.label != b.label:
-        return False
-    for pair_a, pair_b in zip_longest(a.groups, b.groups, fillvalue=None):
-        if pair_a is None or pair_b is None:
-            return False
-        (ta, la), (tb, lb) = pair_a, pair_b
-        if ta != tb or len(la) != len(lb):
-            return False
-        if not _match_lists(la, lb):
-            return False
-    return True
-
-
-def _match_lists(la: tuple[TTree, ...], lb: tuple[TTree, ...]) -> bool:
-    used = [False] * len(lb)
-
-    def place(i: int) -> bool:
-        if i == len(la):
-            return True
-        for j, candidate in enumerate(lb):
-            if not used[j] and isomorphic_oracle(la[i], candidate):
-                used[j] = True
-                if place(i + 1):
-                    return True
-                used[j] = False
-        return False
-
-    return place(0)

@@ -1,22 +1,24 @@
 """Growing, shrinking, and enumerating the T-trees of a problem.
 
 The state space of a structural problem is the set of conforming T-trees
-connected by *unit extensions*: adding one leaf at a legal site.  Walking
-that graph from the root-type leaf enumerates every solution shape;
-restricting the walk to canonical trees enumerates exactly one
-representative per isomorphism class, because every canonical tree can be
-shrunk back to the root leaf through canonical trees by repeatedly
-removing a well-chosen leaf (`canonical_removal`).
+connected by *unit extensions*: adding one leaf at a legal site.
+`canonical_removal` maps every tree but the root leaf to a smaller one, so
+reading it backwards makes the conforming trees a tree of trees rooted at
+the root leaf: reverse search (Avis & Fukuda, 1996).  Both enumerators are
+one depth-first walk of that tree, which emits each tree exactly once and
+keeps no visited set; its memory is the pending children along one
+root-to-tree chain.
 
-That removal map is deterministic, so reading it backwards assigns every
-canonical tree a unique parent; `enumerate_canonical` follows only those
-parent-to-child edges and therefore emits each canonical tree exactly
-once without keeping a visited set.
+A child is never built to learn whether its removal leads back: the
+parent test is decided on the parent, along the removal spine only
+(`_child_sites`).  The removal keeps canonical trees canonical, so the
+canonical trees are a subtree of the same walk; `enumerate_canonical`
+prunes every child that fails the incremental canonicity check, which is
+canonical augmentation in the sense of McKay (1998).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -93,14 +95,9 @@ def apply_extension(tree: TTree, site: ExtensionSite) -> TTree:
 
 
 def _extension_pairs(
-    tree: TTree,
-    problem: StructuralProblem,
-    max_height: int | None = None,
+    tree: TTree, problem: StructuralProblem
 ) -> list[tuple[ExtensionSite, TTree]]:
-    return [
-        (site, apply_extension(tree, site))
-        for site in extension_sites(tree, problem, max_height=max_height)
-    ]
+    return [(site, apply_extension(tree, site)) for site in extension_sites(tree, problem)]
 
 
 def unit_extensions(tree: TTree, problem: StructuralProblem) -> list[TTree]:
@@ -185,29 +182,70 @@ def _require_bounded(problem: StructuralProblem, max_height: int | None) -> None
         )
 
 
+def _child_sites(
+    tree: TTree,
+    problem: StructuralProblem,
+    max_height: int | None,
+) -> list[ExtensionSite]:
+    """The extension sites of `tree` whose grown tree `canonical_removal`
+    maps back to `tree`, found without growing it.
+
+    The removal of the grown tree must end at the new leaf.  So on the way
+    down every step enters the node's first T-list with only leaves before
+    it, and at the receiving node the new leaf's T-list is, or becomes, the
+    first one and holds only leaves.  Only that spine is walked.
+    """
+    sites: list[ExtensionSite] = []
+    frontier: list[tuple[TTree, tuple[tuple[TypeSymbol, int], ...]]] = [(tree, ())]
+    while frontier:
+        node, path = frontier.pop()
+        first_type, first_members = node.groups[0] if node.groups else (None, ())
+        if max_height is None or len(path) < max_height:
+            for symbol in problem.component_types(node.label):
+                if first_type is not None and symbol.rank > first_type.rank:
+                    break
+                members = first_members if symbol == first_type else ()
+                schema = problem.schema(node.label, symbol)
+                assert schema is not None
+                if len(members) < schema.max_cardinality and all(m.is_leaf for m in members):
+                    sites.append(ExtensionSite(path, symbol))
+        for index, member in enumerate(first_members):
+            frontier.append((member, path + ((first_type, index),)))
+            if not member.is_leaf:
+                break
+    return sites
+
+
+def _enumerate(
+    problem: StructuralProblem, max_height: int | None, canonical: bool
+) -> Iterator[TTree]:
+    """Depth-first reverse search from the root leaf along `canonical_removal`;
+    with `canonical`, children failing the incremental check are pruned."""
+    _require_bounded(problem, max_height)
+    stack = [problem.root_leaf()]
+    while stack:
+        tree = stack.pop()
+        yield tree
+        for site in _child_sites(tree, problem, max_height):
+            child = apply_extension(tree, site)
+            if not canonical or is_canonical_incremental(child, site):
+                stack.append(child)
+
+
 def enumerate_all(
     problem: StructuralProblem,
     *,
     max_height: int | None = None,
 ) -> Iterator[TTree]:
-    """Every conforming T-tree exactly once, in discovery order.
+    """Every conforming T-tree exactly once, in depth-first order.
 
-    Breadth-first walk of the unit-extension graph from the root leaf,
-    deduplicated by structural equality.  `max_height` bounds tree height
-    and is mandatory for cyclic type graphs.
+    One reverse-search walk: each tree is grown only at the sites whose
+    `canonical_removal` leads straight back to it, so no visited set is
+    kept.  The order is unspecified beyond being deterministic.
+    `max_height` bounds tree height and is mandatory for cyclic type
+    graphs.
     """
-    _require_bounded(problem, max_height)
-    start = problem.root_leaf()
-    seen = {start}
-    queue = deque([start])
-    yield start
-    while queue:
-        tree = queue.popleft()
-        for _, extended in _extension_pairs(tree, problem, max_height):
-            if extended not in seen:
-                seen.add(extended)
-                queue.append(extended)
-                yield extended
+    return _enumerate(problem, max_height, canonical=False)
 
 
 def enumerate_canonical(
@@ -217,19 +255,10 @@ def enumerate_canonical(
 ) -> Iterator[TTree]:
     """Every canonical conforming T-tree exactly once.
 
-    Generates constructively: from each canonical tree, grow only those
-    canonical extensions whose `canonical_removal` leads straight back,
-    i.e. follow the removal map in reverse.  Every canonical tree has
-    exactly one such parent chain down to the root leaf, so nothing is
-    emitted twice and nothing is missed; no visited set is kept.
+    Generates constructively: the same walk as `enumerate_all`, keeping
+    only children that pass `is_canonical_incremental`.  The removal of a
+    canonical tree is canonical, so every canonical tree is reached
+    through canonical trees alone; nothing is emitted twice and nothing is
+    missed.
     """
-    _require_bounded(problem, max_height)
-    start = problem.root_leaf()
-    yield start
-    stack = [start]
-    while stack:
-        tree = stack.pop()
-        for site, extended in _extension_pairs(tree, problem, max_height):
-            if is_canonical_incremental(extended, site) and canonical_removal(extended) == tree:
-                yield extended
-                stack.append(extended)
+    return _enumerate(problem, max_height, canonical=True)

@@ -2,14 +2,15 @@
 
 Nothing here reuses the code paths under test: enumeration is by direct
 product construction instead of graph search, ordering is by a nested
-tuple key instead of the recursive comparison, and isomorphism classes
-are materialized by brute-force permutation.
+tuple key instead of the recursive comparison, isomorphism classes are
+materialized by brute-force permutation, and isomorphism is decided by
+exhaustive matching instead of canonical forms.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import permutations, product, zip_longest
 
 from ttrees import StructuralProblem, TTree, TypeSymbol, ttree
 
@@ -45,6 +46,43 @@ def all_conforming_trees(
         return result
 
     return trees_of(problem.root_type, max_height)
+
+
+def isomorphic_oracle(a: TTree, b: TTree) -> bool:
+    """Isomorphism by exhaustive matching, independent of the tree order.
+
+    Searches for a bijection between the T-lists of the two trees whose
+    pairs are recursively isomorphic.  Exponential in the worst case;
+    meant for cross-checking `isomorphic` on small trees.
+    """
+    if a.label != b.label:
+        return False
+    for pair_a, pair_b in zip_longest(a.groups, b.groups, fillvalue=None):
+        if pair_a is None or pair_b is None:
+            return False
+        (ta, la), (tb, lb) = pair_a, pair_b
+        if ta != tb or len(la) != len(lb):
+            return False
+        if not _match_lists(la, lb):
+            return False
+    return True
+
+
+def _match_lists(la: tuple[TTree, ...], lb: tuple[TTree, ...]) -> bool:
+    used = [False] * len(lb)
+
+    def place(i: int) -> bool:
+        if i == len(la):
+            return True
+        for j, candidate in enumerate(lb):
+            if not used[j] and isomorphic_oracle(la[i], candidate):
+                used[j] = True
+                if place(i + 1):
+                    return True
+                used[j] = False
+        return False
+
+    return place(0)
 
 
 def order_key(tree: TTree, problem: StructuralProblem) -> tuple:

@@ -10,6 +10,7 @@ from ttrees import (
     render_problem,
     TreeOrdering,
 )
+from ttrees import cli
 from ttrees.cli import run
 from conftest import PC_CONFIG
 
@@ -184,6 +185,16 @@ def test_parse_error_exit_code(capsys):
 def test_missing_file_exit_code(capsys):
     assert run(["enum", "/nonexistent/q.prob"]) == 2
     capsys.readouterr()
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "canon", crash)
+    assert run(["canon", "A"]) == 3
+    err = capsys.readouterr().err
+    assert "internal error: RuntimeError: boom" in err
 
 
 def test_usage_error_exits_2():

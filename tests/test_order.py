@@ -15,13 +15,13 @@ from ttrees import (
     is_canonical,
     is_canonical_counted,
     isomorphic,
-    isomorphic_oracle,
     less,
     parse_ttree,
     parse_ttrees,
 )
 from oracles import (
     all_conforming_trees,
+    isomorphic_oracle,
     min_variant,
     order_key,
     partition_classes,

@@ -23,7 +23,16 @@ from ttrees import (
     render_ttree,
     unit_extensions,
 )
+from ttrees import search
+from ttrees.search import _child_sites
 from oracles import all_conforming_trees
+
+
+def cyclic_problem() -> StructuralProblem:
+    """A holds up to two B; B holds up to two B."""
+    return StructuralProblem(
+        "A", ["A", "B"], [("A", "B", 2), ("B", "B", 2)], allow_cyclic=True
+    )
 
 
 def renderings(trees):
@@ -131,6 +140,49 @@ def test_enumerate_all_matches_product_oracle(abcd, wide):
 def test_enumerate_all_yields_each_once():
     trees = list(enumerate_all(chain_problem(2, 3)))
     assert len(trees) == len(set(trees))
+
+
+def test_enumerate_all_of_cyclic_problem_matches_product_oracle():
+    trees = list(enumerate_all(cyclic_problem(), max_height=3))
+    assert len(trees) == len(set(trees))
+    assert set(trees) == set(all_conforming_trees(cyclic_problem(), 3))
+
+
+def test_parent_rule_matches_removal(abcd, wide):
+    corpora = [
+        (chain_problem(2, 4), None),
+        (chain_problem(3, 2), None),
+        (abcd, None),
+        (wide, 2),
+        (cyclic_problem(), 3),
+    ]
+    for problem, max_height in corpora:
+        for tree in all_conforming_trees(problem, max_height):
+            accepted = _child_sites(tree, problem, max_height)
+            parent_sites = {
+                site
+                for site in extension_sites(tree, problem, max_height=max_height)
+                if canonical_removal(apply_extension(tree, site)) == tree
+            }
+            assert len(accepted) == len(set(accepted))
+            assert set(accepted) == parent_sites, render_ttree(tree)
+
+
+def test_canonical_enumeration_decides_before_building(monkeypatch):
+    # Children whose removal does not lead back are never built; only the
+    # canonicity filter discards built trees.
+    calls = 0
+    real = search.apply_extension
+
+    def counted(tree, site):
+        nonlocal calls
+        calls += 1
+        return real(tree, site)
+
+    monkeypatch.setattr(search, "apply_extension", counted)
+    emitted = sum(1 for _ in enumerate_canonical(chain_problem(3, 3)))
+    assert emitted == 8436
+    assert calls <= 2 * emitted
 
 
 def test_enumerate_canonical_counts():
