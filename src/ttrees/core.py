@@ -16,10 +16,10 @@ plain-text formats for all of them.
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import islice
+from typing import Iterable, Sequence
 
 
 class ProblemError(ValueError):
@@ -48,12 +48,28 @@ class ConfigError(ValueError):
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypeSymbol:
-    """A component type; `rank` is its position in the total type order."""
+    """A component type; `rank` is its position in the total type order.
+    Equal symbols agree in name and rank; the hash is computed once."""
 
     name: str
     rank: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name, self.rank)))
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (
+            isinstance(other, TypeSymbol) and self.rank == other.rank and self.name == other.name
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # String hashes differ between processes: rebuild, never unpickle, `_hash`.
+        return TypeSymbol, (self.name, self.rank)
 
     def __str__(self) -> str:
         return self.name
@@ -141,20 +157,18 @@ class StructuralProblem:
             )
 
     def _find_cycle(self) -> bool:
-        # colors: 0 unvisited, 1 on stack, 2 done
-        color = {t.name: 0 for t in self.types}
-
-        def visit(name: str) -> bool:
-            color[name] = 1
+        # Kahn's algorithm: types that no unfreed relation points to are
+        # freed one by one; a cycle keeps its types from ever being freed.
+        indegree = {t.name: 0 for t in self.types}
+        for s in self.relations:
+            indegree[s.component.name] += 1
+        free = [name for name, degree in indegree.items() if degree == 0]
+        for name in free:
             for child in self._components[name]:
-                if color[child.name] == 1:
-                    return True
-                if color[child.name] == 0 and visit(child.name):
-                    return True
-            color[name] = 2
-            return False
-
-        return any(visit(t.name) for t in self.types if color[t.name] == 0)
+                indegree[child.name] -= 1
+                if indegree[child.name] == 0:
+                    free.append(child.name)
+        return len(free) < len(indegree)
 
     def type(self, name: str) -> TypeSymbol:
         try:
@@ -244,7 +258,7 @@ TList = tuple["TTree", ...]
 Groups = tuple[tuple[TypeSymbol, TList], ...]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class TTree:
     """A type-labeled rooted tree with children grouped into T-lists.
 
@@ -256,11 +270,14 @@ class TTree:
     tree-heavy workloads like enumeration cheap).
 
     Prefer `ttree()` (which groups arbitrary child sequences) or
-    `parse_ttree()` to the raw constructor.
+    `parse_ttree()` to the raw constructor.  Both check their input; the
+    package's own builders, whose groups are valid by construction, skip
+    the checks through `_trusted_ttree`.
     """
 
     label: TypeSymbol
     groups: Groups = ()
+    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         last_rank = -1
@@ -280,16 +297,23 @@ class TTree:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self) -> tuple:
+        return TTree, (self.label, self.groups)  # see TypeSymbol.__reduce__
+
     def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, TTree):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.label == other.label
-            and self.groups == other.groups
-        )
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is not b:
+                if a._hash != b._hash or a.label != b.label or len(a.groups) != len(b.groups):
+                    return False
+                for (ta, la), (tb, lb) in zip(a.groups, b.groups):
+                    if ta != tb or len(la) != len(lb):
+                        return False
+                    pairs.extend(zip(la, lb))
+        return True
 
     @property
     def is_leaf(self) -> bool:
@@ -301,17 +325,13 @@ class TTree:
                 return members
         return ()
 
-    def children(self) -> Iterator["TTree"]:
-        for _, members in self.groups:
-            yield from members
-
-    @cached_property
+    @property
     def node_count(self) -> int:
-        return 1 + sum(child.node_count for child in self.children())
+        return sum(map(len, _levels([self])))
 
-    @cached_property
+    @property
     def height(self) -> int:
-        return 1 + max((child.height for child in self.children()), default=-1)
+        return len(_levels([self])) - 1
 
     def __str__(self) -> str:
         return render_ttree(self)
@@ -320,13 +340,42 @@ class TTree:
         return f"<TTree {render_ttree(self)}>"
 
 
-def ttree(label: TypeSymbol, children: Iterable[TTree] = ()) -> TTree:
-    """Build a T-tree, stably grouping `children` into T-lists by type.
+_new_object = object.__new__
+_set_attribute = object.__setattr__
 
-    Children of the same type keep their relative order.  Raises
-    ValueError when two child types carry clashing ranks, which happens
-    only when trees from unrelated type universes are mixed.
+
+def _trusted_ttree(label: TypeSymbol, groups: Groups = ()) -> TTree:
+    """A `TTree` whose groups are known to be valid, built without the
+    checks of the public constructor."""
+    tree = _new_object(TTree)
+    _set_attribute(tree, "label", label)
+    _set_attribute(tree, "groups", groups)
+    _set_attribute(tree, "_hash", hash((label, groups)))
+    return tree
+
+
+def _levels(roots: list[TTree]) -> list[list[TTree]]:
+    """The nodes of the forest `roots` depth by depth: the members of one
+    depth's T-lists, in order, make up the next depth."""
+    levels = [roots]
+    while True:
+        below = [m for node in levels[-1] for _, members in node.groups for m in members]
+        if not below:
+            return levels
+        levels.append(below)
+
+
+def _group(children: Sequence[TTree]) -> Groups:
+    """Stably group a non-empty child sequence into T-lists in rank order.
+
+    Raises ValueError when two child types carry clashing ranks.
     """
+    first = children[0].label
+    for child in children:
+        if child.label is not first:
+            break
+    else:
+        return ((first, tuple(children)),)
     buckets: dict[TypeSymbol, list[TTree]] = {}
     for child in children:
         buckets.setdefault(child.label, []).append(child)
@@ -337,58 +386,48 @@ def ttree(label: TypeSymbol, children: Iterable[TTree] = ()) -> TTree:
                 f"types {left.name!r} and {right.name!r} share rank {left.rank}; "
                 "trees come from incompatible type universes"
             )
-    return TTree(label, tuple((t, tuple(buckets[t])) for t in symbols))
+    return tuple((t, tuple(buckets[t])) for t in symbols)
+
+
+def ttree(label: TypeSymbol, children: Iterable[TTree] = ()) -> TTree:
+    """Build a T-tree, stably grouping `children` into T-lists by type.
+
+    Children of the same type keep their relative order.  Raises
+    ValueError when two child types carry clashing ranks, which happens
+    only when trees from unrelated type universes are mixed.
+    """
+    children = list(children)
+    return TTree(label, _group(children) if children else ())
 
 
 def render_ttree(tree: TTree) -> str:
     """Render as `TYPE` or `TYPE(child,...)`, children in type order."""
-    if tree.is_leaf:
+    if not tree.groups:
         return tree.label.name
-    inner = ",".join(render_ttree(child) for child in tree.children())
-    return f"{tree.label.name}({inner})"
+    out: list[str] = []
+    stack: list = [tree]  # inner nodes and text still to emit, last first
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            out.append(item)
+            continue
+        children = [m for _, members in item.groups for m in members]
+        stack.append(")")
+        for child in reversed(children[1:]):
+            stack.append(child if child.groups else child.label.name)
+            stack.append(",")
+        if children[0].groups:
+            out.append(item.label.name + "(")
+            stack.append(children[0])
+        else:
+            out.append(item.label.name + "(" + children[0].label.name)
+    return "".join(out)
 
 
-# Parsed shape before type resolution: (name, children, position).
-_Shape = tuple[str, list, int]
-
-
-def _parse_shape(text: str, pos: int) -> tuple[_Shape, int]:
-    pos = _skip_ws(text, pos)
-    match = _NAME.match(text, pos)
-    if not match:
-        raise ParseError("expected a type name", pos)
-    name, pos = match.group(), match.end()
-    children: list[_Shape] = []
-    after = _skip_ws(text, pos)
-    if after < len(text) and text[after] == "(":
-        pos = after + 1
-        while True:
-            child, pos = _parse_shape(text, pos)
-            children.append(child)
-            pos = _skip_ws(text, pos)
-            if pos >= len(text):
-                raise ParseError("unclosed '('", pos)
-            if text[pos] == ",":
-                pos += 1
-                continue
-            if text[pos] == ")":
-                pos += 1
-                break
-            raise ParseError("expected ',' or ')'", pos)
-    return (name, children, match.start()), pos
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _shape_names(shape: _Shape, out: set[str]) -> None:
-    name, children, _ = shape
-    out.add(name)
-    for child in children:
-        _shape_names(child, out)
+# A token: a name, or any other single non-blank character, or "" at the end.
+_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\S|$)")
+# Stands in for names the problem does not declare until parsing ends.
+_UNKNOWN = TypeSymbol("?", -1)
 
 
 def parse_ttrees(texts: Sequence[str], problem: StructuralProblem | None = None) -> list[TTree]:
@@ -399,30 +438,60 @@ def parse_ttrees(texts: Sequence[str], problem: StructuralProblem | None = None)
     to name order over all names appearing in `texts`, so the resulting
     trees are mutually comparable.
     """
-    shapes = []
-    for text in texts:
-        shape, pos = _parse_shape(text, 0)
-        pos = _skip_ws(text, pos)
-        if pos != len(text):
-            raise ParseError("unexpected trailing input", pos)
-        shapes.append(shape)
     if problem is not None:
-        def resolve(name: str, pos: int) -> TypeSymbol:
-            return problem.type(name)
+        symbols = problem.types
     else:
-        names: set[str] = set()
-        for shape in shapes:
-            _shape_names(shape, names)
-        universe = {name: TypeSymbol(name, rank) for rank, name in enumerate(sorted(names))}
+        names = sorted({name for text in texts for name in _NAME.findall(text)})
+        symbols = tuple(TypeSymbol(name, rank) for rank, name in enumerate(names))
+    # Leaves are immutable, so one leaf per type serves every occurrence.
+    leaves = {symbol.name: _trusted_ttree(symbol) for symbol in symbols}
+    trees = [_parse(text, leaves, problem) for text in texts]
+    # Syntax errors in any text take precedence over unknown names.
+    unknown = [name for name, leaf in leaves.items() if leaf.label is _UNKNOWN]
+    if unknown:
+        raise UnknownTypeError(f"unknown type {unknown[0]!r}")
+    return trees
 
-        def resolve(name: str, pos: int) -> TypeSymbol:
-            return universe[name]
 
-    def build(shape: _Shape) -> TTree:
-        name, children, pos = shape
-        return ttree(resolve(name, pos), [build(child) for child in children])
+def _parse(text: str, leaves: dict[str, TTree], problem: StructuralProblem | None) -> TTree:
+    # One pass with an explicit stack; each node is built once, at its ')'.
+    tokens = _TOKEN.findall(text)
+    stack: list[tuple] = []  # (label, children) of the enclosing open nodes
+    children = None  # members read so far of the innermost open node
+    i = 0  # the next token, which must be a name
+    while True:
+        leaf = leaves.get(tokens[i])
+        if leaf is None:
+            if problem is None or not _NAME.fullmatch(tokens[i]):
+                raise _error("expected a type name", text, i)
+            leaf = leaves[tokens[i]] = _trusted_ttree(_UNKNOWN)
+        i += 1
+        if tokens[i] == "(":
+            stack.append((leaf.label, children))
+            children = []
+            i += 1
+            continue
+        node = leaf
+        while children is not None:
+            children.append(node)
+            if tokens[i] == ",":
+                break
+            if tokens[i] != ")":
+                raise _error("expected ',' or ')'" if tokens[i] else "unclosed '('", text, i)
+            label, parent = stack.pop()
+            node, children = _trusted_ttree(label, _group(children)), parent
+            i += 1
+        else:
+            if tokens[i]:
+                raise _error("unexpected trailing input", text, i)
+            return node
+        i += 1
 
-    return [build(shape) for shape in shapes]
+
+def _error(message: str, text: str, index: int) -> ParseError:
+    """A ParseError at the token of `text` numbered `index`."""
+    token = next(islice(_TOKEN.finditer(text), index, None))
+    return ParseError(message, token.start(1))
 
 
 def parse_ttree(text: str, problem: StructuralProblem | None = None) -> TTree:
@@ -441,17 +510,15 @@ def ttree_conforms(tree: TTree, problem: StructuralProblem) -> bool:
     problem.symbol_of(tree.label)
     if tree.label != problem.root_type:
         return False
-    return _subtree_conforms(tree, problem)
-
-
-def _subtree_conforms(tree: TTree, problem: StructuralProblem) -> bool:
-    for symbol, members in tree.groups:
-        problem.symbol_of(symbol)
-        schema = problem.schema(tree.label, symbol)
-        if schema is None or len(members) > schema.max_cardinality:
-            return False
-        if not all(_subtree_conforms(member, problem) for member in members):
-            return False
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        for symbol, members in node.groups:
+            problem.symbol_of(symbol)
+            schema = problem.schema(node.label, symbol)
+            if schema is None or len(members) > schema.max_cardinality:
+                return False
+            stack.extend(members)
     return True
 
 
@@ -516,25 +583,21 @@ def make_config(
         raise ConfigError("configuration has no objects")
 
     if problem is not None:
-        def resolve(name: str) -> TypeSymbol:
-            if not problem.has_type(name):
-                raise ConfigError(f"unknown type {name!r}")
-            return problem.type(name)
+        symbols = problem._by_name
     else:
-        universe = {
-            name: TypeSymbol(name, rank)
-            for rank, name in enumerate(sorted(set(typed.values())))
-        }
-        resolve = universe.__getitem__
-
-    symbol_of = {obj: resolve(name) for obj, name in typed.items()}
+        names = sorted(set(typed.values()))
+        symbols = {name: TypeSymbol(name, rank) for rank, name in enumerate(names)}
+    try:
+        symbol_of = {obj: symbols[name] for obj, name in typed.items()}
+    except KeyError as missing:
+        raise ConfigError(f"unknown type {missing.args[0]!r}") from None
 
     parent: dict[int, int] = {}
     children: dict[int, list[int]] = {obj: [] for obj in typed}
     for source, target in links:
-        for end in (source, target):
-            if end not in typed:
-                raise ConfigError(f"link references undeclared object {end}")
+        if source not in typed or target not in typed:
+            undeclared = target if source in typed else source
+            raise ConfigError(f"link references undeclared object {undeclared}")
         if target in parent:
             raise ConfigError(f"object {target} has two composites")
         parent[target] = source
@@ -545,15 +608,13 @@ def make_config(
         raise ConfigError(f"expected exactly one root object, found {len(roots)}")
     root = roots[0]
 
-    reached = {root}
-    frontier = [root]
-    while frontier:
-        obj = frontier.pop()
-        for child in children[obj]:
-            reached.add(child)
-            frontier.append(child)
-    if reached != set(typed):
-        missing = sorted(set(typed) - reached)
+    # Every object but the root has one parent, so this visits each
+    # object reachable from the root exactly once.
+    reached = [root]
+    for obj in reached:
+        reached.extend(children[obj])
+    if len(reached) != len(typed):
+        missing = sorted(set(typed) - set(reached))
         raise ConfigError(f"objects not reachable from the root: {missing}")
 
     if problem is not None:
@@ -562,31 +623,34 @@ def make_config(
                 f"root object must have type {problem.root_type.name!r}, "
                 f"got {symbol_of[root].name!r}"
             )
+        schemas = problem._schemas
         for obj, kids in children.items():
             per_type: dict[str, int] = {}
             for child in kids:
-                schema = problem.schema(symbol_of[obj], symbol_of[child])
+                name = typed[child]
+                schema = schemas.get((typed[obj], name))
                 if schema is None:
                     raise ConfigError(
-                        f"no relation allows a {symbol_of[child].name} inside "
-                        f"a {symbol_of[obj].name} (objects {obj} -> {child})"
+                        f"no relation allows a {name} inside "
+                        f"a {typed[obj]} (objects {obj} -> {child})"
                     )
-                name = symbol_of[child].name
-                per_type[name] = per_type.get(name, 0) + 1
-                if per_type[name] > schema.max_cardinality:
+                per_type[name] = count = per_type.get(name, 0) + 1
+                if count > schema.max_cardinality:
                     raise ConfigError(
                         f"object {obj} exceeds max cardinality "
                         f"{schema.max_cardinality} for {name}"
                     )
 
-    sorted_children = {
-        obj: tuple(sorted(kids, key=lambda c: (symbol_of[c].rank, c)))
-        for obj, kids in children.items()
-    }
+    rank_of = {obj: symbol.rank for obj, symbol in symbol_of.items()}
+    for kids in children.values():
+        if len(kids) > 1:
+            kids.sort()
+            kids.sort(key=rank_of.__getitem__)  # stable: by (rank, id)
+    ids = sorted(typed)
     return ConfigTree(
         root=root,
-        types=tuple(sorted(symbol_of.items())),
-        links=tuple(sorted((obj, sorted_children[obj]) for obj in typed)),
+        types=tuple([(obj, symbol_of[obj]) for obj in ids]),
+        links=tuple([(obj, tuple(children[obj])) for obj in ids]),
     )
 
 
@@ -600,53 +664,63 @@ def parse_config(text: str, problem: StructuralProblem | None = None) -> ConfigT
     objects: list[tuple[int, str]] = []
     links: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        try:
-            if tokens[0] == "obj" and len(tokens) == 3:
-                objects.append((int(tokens[1]), tokens[2]))
-                continue
-            if tokens[0] == "link" and len(tokens) == 3:
-                links.append((int(tokens[1]), int(tokens[2])))
-                continue
-        except ValueError:
-            raise ConfigError(f"line {lineno}: bad object id in {line!r}") from None
-        raise ConfigError(f"line {lineno}: unrecognized directive {line!r}")
+        if len(tokens) == 3:
+            keyword, first, second = tokens
+            try:
+                if keyword == "obj":
+                    objects.append((int(first), second))
+                    continue
+                if keyword == "link":
+                    links.append((int(first), int(second)))
+                    continue
+            except ValueError:
+                raise ConfigError(f"line {lineno}: bad object id in {raw.strip()!r}") from None
+        raise ConfigError(f"line {lineno}: unrecognized directive {raw.strip()!r}")
     return make_config(objects, links, problem)
 
 
 def config_to_ttree(config: ConfigTree) -> TTree:
     """Erase object identities, keeping types and child order."""
-
-    def build(obj: int) -> TTree:
-        return ttree(
-            config.node_type(obj),
-            [build(child) for child in config.children_of(obj)],
-        )
-
-    return build(config.root)
+    type_of, children_of = config._type_map, config._child_map
+    order = [config.root]  # breadth-first, so each node's children are contiguous
+    sizes = []
+    for obj in order:
+        kids = children_of.get(obj, ())
+        sizes.append(len(kids))
+        order.extend(kids)
+        if len(order) > len(type_of):
+            raise ConfigError("links do not form a tree; build configurations with make_config")
+    leaves = {label: _trusted_ttree(label) for label in set(type_of.values())}
+    trees: list = [None] * len(order)
+    end = len(order)  # the children of node i end where those of i + 1 start
+    for i in range(len(order) - 1, -1, -1):
+        size = sizes[i]
+        if size:
+            trees[i] = _trusted_ttree(type_of[order[i]], _group(trees[end - size : end]))
+            end -= size
+        else:
+            trees[i] = leaves[type_of[order[i]]]
+    return trees[0]
 
 
 def ttree_to_config(tree: TTree) -> ConfigTree:
     """Materialize a T-tree as a configuration with breadth-first object
     ids: the root is 0 and children are numbered in type order then list
     order, so the result is the same for any two equal T-trees."""
-    types: list[tuple[int, TypeSymbol]] = [(0, tree.label)]
-    links: dict[int, list[int]] = {0: []}
-    queue: deque[tuple[TTree, int]] = deque([(tree, 0)])
-    next_id = 1
-    while queue:
-        node, obj = queue.popleft()
-        for child in node.children():
-            types.append((next_id, child.label))
-            links[obj].append(next_id)
-            links[next_id] = []
-            queue.append((child, next_id))
-            next_id += 1
+    order = [tree]  # breadth-first; a node's object id is its index
+    links = []
+    for obj, node in enumerate(order):
+        first = len(order)
+        for _, members in node.groups:
+            order.extend(members)
+        links.append((obj, tuple(range(first, len(order)))))
     return ConfigTree(
         root=0,
-        types=tuple(types),
-        links=tuple(sorted((obj, tuple(kids)) for obj, kids in links.items())),
+        types=tuple(enumerate([node.label for node in order])),
+        links=tuple(links),
     )

@@ -16,9 +16,9 @@ tree-shaped configurations.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cmp_to_key
+from typing import Iterator
 
-from .core import TTree
+from .core import TTree, _levels, _trusted_ttree
 
 
 class TreeOrdering(Enum):
@@ -105,13 +105,13 @@ def compare_any(a: TTree, b: TTree) -> TreeOrdering:
 
 
 def _is_canonical(tree: TTree, count: list[int] | None) -> bool:
-    for _, members in tree.groups:
-        for member in members:
-            if not _is_canonical(member, count):
-                return False
-        for x, y in zip(members, members[1:]):
-            if _compare(x, y, count) is _GREATER:
-                return False
+    stack = [tree]
+    while stack:
+        for _, members in stack.pop().groups:
+            for x, y in zip(members, members[1:]):
+                if _compare(x, y, count) is _GREATER:
+                    return False
+            stack.extend(members)
     return True
 
 
@@ -133,22 +133,67 @@ def is_canonical_counted(tree: TTree) -> tuple[bool, int]:
     return result, count[0]
 
 
+def _class_codes(roots: list[TTree]) -> Iterator[tuple[list[TTree], list[int], list[int]]]:
+    """Isomorphism class codes of the forest `roots`, one depth at a time,
+    deepest first (Aho, Hopcroft & Ullman, 1974).
+
+    A node's key gives, per T-list, its type, its length and the sorted
+    codes of its members; a depth's codes number its distinct keys in
+    sorted order.  Siblings share a depth, so same-labeled siblings' codes
+    order as `compare` orders their canonical forms, and equal codes mean
+    isomorphic subtrees.  Yields each depth's nodes, their codes and the
+    codes of the depth below.
+    """
+    codes: list[int] = []
+    for level in reversed(_levels(roots)):
+        below, keys, start = codes, [], 0
+        for node in level:
+            key = []
+            for symbol, members in node.groups:
+                end = start + len(members)
+                # A T-list where the other node has none makes a node
+                # greater, so earlier types must sort last: negate ranks.
+                key.append((-symbol.rank, symbol.name, len(members), tuple(sorted(below[start:end]))))
+                start = end
+            keys.append(tuple(key))
+        code_of = dict.fromkeys(keys)
+        for code, key in enumerate(sorted(code_of)):
+            code_of[key] = code
+        codes = list(map(code_of.__getitem__, keys))
+        yield level, codes, below
+
+
 def canonicalize(tree: TTree) -> TTree:
     """The canonical representative of `tree`'s isomorphism class.
 
-    Children are canonicalized recursively, then every T-list is sorted
-    by `compare`.  The sort is stable, the result is canonical and the
+    Every T-list is sorted by the class codes of its members, which order
+    like `compare` on canonical forms; each node is built at most once and
+    unchanged subtrees are reused.  The result is canonical and the
     operation is idempotent.
     """
-    sort_key = cmp_to_key(lambda x, y: _compare(x, y, None).value)
-    groups = tuple(
-        (symbol, tuple(sorted((canonicalize(member) for member in members), key=sort_key)))
-        for symbol, members in tree.groups
-    )
-    return TTree(tree.label, groups)
+    canonical_below: list[TTree] = []
+    for level, _, below in _class_codes([tree]):
+        canonical, start = [], 0
+        for node in level:
+            groups = []
+            for symbol, members in node.groups:
+                end = start + len(members)
+                order = sorted(range(start, end), key=below.__getitem__)
+                groups.append((symbol, tuple([canonical_below[i] for i in order])))
+                start = end
+            groups = tuple(groups)
+            canonical.append(node if groups == node.groups else _trusted_ttree(node.label, groups))
+        canonical_below = canonical
+    return canonical_below[0]
 
 
 def isomorphic(a: TTree, b: TTree) -> bool:
-    """True iff the trees are equal up to reordering within T-lists."""
-    return a.label == b.label and canonicalize(a) == canonicalize(b)
+    """True iff the trees are equal up to reordering within T-lists.
 
+    Compares the root class codes from one joint pass over both trees.
+    """
+    if a.label != b.label:
+        return False
+    for _, codes, _ in _class_codes([a, b]):
+        pass
+    return codes[0] == codes[1]

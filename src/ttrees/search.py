@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import StructuralProblem, TList, TTree, TypeSymbol
+from .core import StructuralProblem, TList, TTree, TypeSymbol, _trusted_ttree
 from .order import _compare, TreeOrdering, is_canonical
 
 _GREATER = TreeOrdering.GREATER
@@ -72,7 +72,7 @@ def _replace_tlist(node: TTree, symbol: TypeSymbol, members: TList) -> TTree:
     if members:
         groups.append((symbol, members))
         groups.sort(key=lambda pair: pair[0].rank)
-    return TTree(node.label, tuple(groups))
+    return _trusted_ttree(node.label, tuple(groups))
 
 
 def apply_extension(tree: TTree, site: ExtensionSite) -> TTree:
@@ -80,7 +80,7 @@ def apply_extension(tree: TTree, site: ExtensionSite) -> TTree:
 
     def rebuild(node: TTree, depth: int) -> TTree:
         if depth == len(site.path):
-            members = node.tlist(site.leaf_type) + (TTree(site.leaf_type),)
+            members = node.tlist(site.leaf_type) + (_trusted_ttree(site.leaf_type),)
             return _replace_tlist(node, site.leaf_type, members)
         symbol, index = site.path[depth]
         members = node.tlist(symbol)

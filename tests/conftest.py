@@ -49,6 +49,14 @@ def wide() -> StructuralProblem:
     )
 
 
+@pytest.fixture
+def cyclic() -> StructuralProblem:
+    """A holds up to two B; B holds up to two B (needs a height bound)."""
+    return StructuralProblem(
+        "A", ["A", "B"], [("A", "B", 2), ("B", "B", 2)], allow_cyclic=True
+    )
+
+
 PC_CONFIG = """\
 # the sample PC build
 obj 1 PC

@@ -96,6 +96,30 @@ def order_key(tree: TTree, problem: StructuralProblem) -> tuple:
     )
 
 
+def sorted_by_key(tree: TTree, problem: StructuralProblem) -> TTree:
+    """Rebuild with every T-list sorted by `order_key`, bottom-up."""
+    members = [
+        member
+        for _, group in tree.groups
+        for member in sorted(
+            (sorted_by_key(m, problem) for m in group),
+            key=lambda t: order_key(t, problem),
+        )
+    ]
+    return ttree(tree.label, members)
+
+
+def shuffled(tree: TTree, rng: random.Random) -> TTree:
+    """A random member of the tree's isomorphism class: every T-list
+    reordered at random, recursively."""
+    members = []
+    for _, group in tree.groups:
+        group = [shuffled(m, rng) for m in group]
+        rng.shuffle(group)
+        members += group
+    return ttree(tree.label, members)
+
+
 def permutation_variants(tree: TTree) -> set[TTree]:
     """The full isomorphism class: every way of reordering every T-list,
     recursively.  Exponential; only for small trees."""

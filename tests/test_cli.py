@@ -201,3 +201,26 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["count", "--depth", "2"])
     assert exc.value.code == 2
+
+
+def test_deep_path_tree_through_every_tree_command(tmp_path, capsys):
+    # 100 000 nodes in one path: A, then B below each node.
+    depth = 100_000
+    problem = tmp_path / "deep.prob"
+    problem.write_text("root A\ntype A\ntype B\nrel A B max 1\nrel B B max 1\n")
+    expr = "A(" + "B(" * (depth - 2) + "B" + ")" * (depth - 1)
+    config = tmp_path / "deep.cfg"
+    lines = ["obj 0 A"] + [f"obj {i} B" for i in range(1, depth)]
+    lines += [f"link {i - 1} {i}" for i in range(1, depth)]
+    config.write_text("\n".join(lines) + "\n")
+    args = ["--problem", str(problem)]
+    for argv, expected in [
+        (["check", *args, expr], "canonical"),
+        (["canon", *args, expr], expr),
+        (["iso", *args, expr, expr], "isomorphic"),
+        (["roundtrip", *args, str(config)], expr),
+    ]:
+        assert run(argv) == 0, argv[0]
+        captured = capsys.readouterr()
+        assert captured.out == expected + "\n", argv[0]
+        assert captured.err == ""

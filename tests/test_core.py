@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 
 from ttrees import (
@@ -15,6 +20,7 @@ from ttrees import (
     parse_config,
     parse_problem,
     parse_ttree,
+    parse_ttrees,
     render_problem,
     render_ttree,
     ttree,
@@ -77,6 +83,30 @@ def test_cyclic_problem_needs_opt_in():
     assert p.is_cyclic
 
 
+def test_cycle_check_handles_long_type_chains():
+    assert not chain_problem(1200, 1).is_cyclic
+    names = [f"T{i}" for i in range(3000)]
+    ring = [(names[i], names[i + 1], 1) for i in range(2999)] + [(names[2999], names[1], 1)]
+    with pytest.raises(ProblemError, match="cyclic"):
+        StructuralProblem("T0", names, ring)
+    assert StructuralProblem("T0", names, ring, allow_cyclic=True).is_cyclic
+
+
+def test_cycle_check_matches_reachability():
+    rng = random.Random(143)
+    names = ["R", "A", "B", "C", "D"]
+    for _ in range(300):
+        pairs = [(x, y) for x in names for y in names[1:] if rng.random() < 0.25]
+        graph = {x: {y for a, y in pairs if a == x} for x in names}
+        reach = {x: set(graph[x]) for x in names}
+        for _ in names:  # transitive closure by repeated expansion
+            for x in names:
+                reach[x] |= {z for y in reach[x] for z in graph[y]}
+        expected = any(x in reach[x] for x in names)
+        problem = StructuralProblem("R", names, [(x, y, 1) for x, y in pairs], allow_cyclic=True)
+        assert problem.is_cyclic == expected
+
+
 def test_problem_file_round_trip(pc):
     assert render_problem(parse_problem(render_problem(pc))) == render_problem(pc)
 
@@ -114,10 +144,35 @@ def test_parse_whitespace_insensitive(abcd):
     assert parse_ttree(" A ( B , B ( D ) ) ", abcd) == parse_ttree("A(B,B(D))", abcd)
 
 
-@pytest.mark.parametrize("bad", ["", "A(B(", "A(", "A()", "A(B,)", "A)B", "A(B))", "1A"])
+# Each malformed expression and the offset its ParseError reports.
+SYNTAX_ERRORS = {
+    "": 0,
+    "A(B(": 4,
+    "A(": 2,
+    "A()": 2,
+    "A(B,)": 4,
+    "A)B": 1,
+    "A(B))": 4,
+    "1A": 0,
+    " ": 1,
+    "A B": 2,
+    "A,": 1,
+    "A(B C)": 4,
+    "A (B": 4,
+    "A(B,  ": 6,
+    "  A(  ,B)": 6,
+    "A(B)x": 4,
+    "A(B) ,C": 5,
+    "A(B(D)(D))": 6,
+    "A((B))": 2,
+}
+
+
+@pytest.mark.parametrize("bad", list(SYNTAX_ERRORS))
 def test_parse_syntax_errors(bad, abcd):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as caught:
         parse_ttree(bad, abcd)
+    assert caught.value.position == SYNTAX_ERRORS[bad]
 
 
 def test_parse_error_carries_position():
@@ -128,6 +183,13 @@ def test_parse_error_carries_position():
 def test_parse_unknown_type_with_problem(abcd):
     with pytest.raises(UnknownTypeError):
         parse_ttree("A(Z)", abcd)
+
+
+def test_syntax_errors_take_precedence_over_unknown_types(abcd):
+    assert pytest.raises(ParseError, parse_ttree, "Z(B", abcd).value.position == 3
+    assert pytest.raises(ParseError, parse_ttrees, ["A(Z)", "A(B"], abcd).value.position == 3
+    with pytest.raises(UnknownTypeError, match="'Z'"):
+        parse_ttrees(["A(B,Z)", "A(Y)"], abcd)
 
 
 def test_parse_without_problem_orders_types_by_name():
@@ -145,6 +207,35 @@ def test_node_count_and_height(abcd):
     assert tree.node_count == 6
     assert tree.height == 2
     assert parse_ttree("A", abcd).height == 0
+
+
+def test_deep_trees_need_no_recursion():
+    # A path far deeper than the interpreter's recursion limit.
+    problem = StructuralProblem("A", ["A", "B"], [("A", "B", 1), ("B", "B", 1)], allow_cyclic=True)
+    depth = 20_000
+    text = "A(" + "B(" * (depth - 2) + "B" + ")" * (depth - 1)
+    tree, same = parse_ttrees([text, text], problem)
+    assert tree == same and hash(tree) == hash(same)
+    assert tree != parse_ttree(text.replace("B)", "B(B))", 1), problem)
+    assert tree.node_count == depth and tree.height == depth - 1
+    assert ttree_conforms(tree, problem)
+    assert render_ttree(tree) == text
+    assert config_to_ttree(ttree_to_config(tree)) == tree
+
+
+def test_unpickled_values_hash_like_fresh_ones(tmp_path):
+    # String hashes depend on the process, so pickle in one process and
+    # compare hashes with freshly parsed values in another.
+    dump, load = tmp_path / "dump.py", tmp_path / "load.py"
+    setup = "import pickle, sys\nfrom ttrees import chain_problem, parse_ttree\n"
+    setup += "p = chain_problem(2, 2)\nvalues = (p.type('T1'), parse_ttree('T0(T1(T2),T1)', p))\n"
+    dump.write_text(setup + "sys.stdout.buffer.write(pickle.dumps(values))\n")
+    load.write_text(setup + "old = pickle.loads(sys.stdin.buffer.read())\n"
+                    "assert old == values and list(map(hash, old)) == list(map(hash, values))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    data = subprocess.run([sys.executable, str(dump)], capture_output=True, check=True,
+                          env={**env, "PYTHONHASHSEED": "1"}).stdout
+    subprocess.run([sys.executable, str(load)], input=data, check=True, env={**env, "PYTHONHASHSEED": "2"})
 
 
 def test_conforms(pc, abcd):

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 
 from ttrees import (
+    StructuralProblem,
     TreeOrdering,
     canonicalize,
     chain_problem,
@@ -18,6 +19,7 @@ from ttrees import (
     less,
     parse_ttree,
     parse_ttrees,
+    render_ttree,
 )
 from oracles import (
     all_conforming_trees,
@@ -26,6 +28,8 @@ from oracles import (
     order_key,
     partition_classes,
     random_tree,
+    shuffled,
+    sorted_by_key,
 )
 
 LESS, EQUAL, GREATER = TreeOrdering.LESS, TreeOrdering.EQUAL, TreeOrdering.GREATER
@@ -198,3 +202,60 @@ def test_canonicity_of_sorted_enumeration():
             for member in members
         )
         assert is_canonical(tree) == (key_sorted and deep)
+
+
+@pytest.fixture
+def code_corpora(wide, cyclic):
+    """(problem, trees) pairs for cross-checking the class codes.  In the
+    last problem, siblings can hold T-lists of different types."""
+    forked = StructuralProblem("A", ["A", "B", "C", "D"], [("A", "B", 3), ("B", "C", 1), ("B", "D", 1)])
+    return [
+        (problem, list(enumerate_all(problem, max_height=height)))
+        for problem, height in [(chain_problem(2, 3), None), (wide, 2), (cyclic, 3), (forked, None)]
+    ]
+
+
+def test_canonicalize_matches_oracles(code_corpora):
+    for problem, trees in code_corpora:
+        for tree in trees:
+            if tree.node_count <= 7:
+                expected = min_variant(tree, problem)
+            else:
+                expected = sorted_by_key(tree, problem)
+            assert canonicalize(tree) == expected, tree
+
+
+def test_isomorphic_matches_oracle_on_sampled_pairs(code_corpora):
+    rng = random.Random(1974)
+    for _, trees in code_corpora:
+        pairs = [(rng.choice(trees), rng.choice(trees)) for _ in range(1500)]
+        pairs += [(a, shuffled(a, rng)) for a in rng.sample(trees, min(300, len(trees)))]
+        pairs += [(a, shuffled(b, rng)) for a, b in pairs[:300]]
+        verdicts = [isomorphic(a, b) for a, b in pairs]
+        assert verdicts == [isomorphic_oracle(a, b) for a, b in pairs]
+        assert any(verdicts) and not all(verdicts)
+
+
+def test_isomorphic_tells_apart_types_of_equal_rank():
+    # Parsed separately, B and C both get rank 1 in their own universe.
+    assert not isomorphic(parse_ttree("A(B)"), parse_ttree("A(C)"))
+    assert not isomorphic(parse_ttree("A(B(D))"), parse_ttree("A(B(E))"))
+    assert isomorphic(parse_ttree("A(B,B(C))"), parse_ttree("A(B(C),B)"))
+
+
+def test_canonical_forms_of_deep_trees():
+    # Caterpillars far deeper than the interpreter's recursion limit:
+    # every inner B holds a leaf B and the next B, in either order.
+    problem = StructuralProblem(
+        "A", ["A", "B"], [("A", "B", 1), ("B", "B", 2)], allow_cyclic=True
+    )
+    depth = 5_000
+    leaf_last = "A(" + "B(" * depth + "B" + ",B)" * depth + ")"
+    leaf_first = "A(" + "B(B," * depth + "B" + ")" * depth + ")"
+    longer = "A(" + "B(B," * depth + "B(B)" + ")" * depth + ")"
+    a, b, c = parse_ttrees([leaf_last, leaf_first, longer], problem)
+    assert not is_canonical(a) and is_canonical(b)
+    assert render_ttree(canonicalize(a)) == leaf_first
+    assert canonicalize(b) is b
+    assert isomorphic(a, b)
+    assert not isomorphic(a, c)
