@@ -29,7 +29,7 @@ from .core import (
 )
 from .counting import approx_canonical, comparison_table, count_all, count_canonical
 from .order import canonicalize, compare_any, is_canonical, isomorphic
-from .search import canonical_removal, enumerate_all, enumerate_canonical
+from .search import _walk, canonical_removal, enumerate_all, enumerate_canonical
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,13 +138,15 @@ def _cmd_enum(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    enumerator = enumerate_canonical if args.canonical else enumerate_all
-    stream = enumerator(problem, max_height=args.max_depth)
     if args.sorted:
-        trees = sorted(stream, key=cmp_to_key(lambda a, b: compare_any(a, b).value))
-        stream = iter(trees)
-    for tree in islice(stream, args.limit):
-        print(render_ttree(tree))
+        enumerator = enumerate_canonical if args.canonical else enumerate_all
+        trees = enumerator(problem, max_height=args.max_depth)
+        key = cmp_to_key(lambda a, b: compare_any(a, b).value)
+        lines = map(render_ttree, sorted(trees, key=key))
+    else:
+        lines = (line for _, line in _walk(problem, args.max_depth, args.canonical))
+    for line in islice(lines, args.limit):
+        print(line)
     return 0
 
 

@@ -44,36 +44,48 @@ def _check_same_root(a: TTree, b: TTree) -> None:
 
 def _compare(a: TTree, b: TTree, count: list[int] | None) -> TreeOrdering:
     # Roots are known to carry the same label.  Absent groups stand for
-    # empty T-lists, so merge the two group sequences by type rank.
-    if count is not None:
-        count[0] += 1
-    ga, gb = a.groups, b.groups
-    ia = ib = 0
+    # empty T-lists, so the two group sequences are merged by type rank.
+    # Pairs are visited depth first from a stack of member cursors
+    # `(T-list, T-list, index)` and of `(a, b, -k)`: pairs whose T-lists
+    # from position k on are left to compare (k is 0 for a new pair).
+    stack = []
+    k = 0
     while True:
-        if ia == len(ga):
-            return _EQUAL if ib == len(gb) else _LESS
-        if ib == len(gb):
-            return _GREATER
-        ta, la = ga[ia]
-        tb, lb = gb[ib]
-        if ta.rank < tb.rank:
-            # a has children of an earlier type where b has none.
-            return _GREATER
-        if tb.rank < ta.rank:
-            return _LESS
-        if ta != tb:
-            raise ValueError(
-                f"types {ta.name!r} and {tb.name!r} share rank {ta.rank}; "
-                "trees come from incompatible type universes"
-            )
-        if len(la) != len(lb):
-            return _LESS if len(la) < len(lb) else _GREATER
-        for x, y in zip(la, lb):
-            outcome = _compare(x, y, count)
-            if outcome is not _EQUAL:
-                return outcome
-        ia += 1
-        ib += 1
+        if not k and count is not None:
+            count[0] += 1
+        if k or a is not b:
+            ga, gb = a.groups, b.groups
+            if k == len(ga):
+                if k != len(gb):
+                    return _LESS
+            elif k == len(gb):
+                return _GREATER
+            else:
+                ta, la = ga[k]
+                tb, lb = gb[k]
+                if ta.rank != tb.rank:
+                    # The tree with children of the earlier type is greater.
+                    return _GREATER if ta.rank < tb.rank else _LESS
+                if ta is not tb and ta != tb:
+                    raise ValueError(
+                        f"types {ta.name!r} and {tb.name!r} share rank {ta.rank}; "
+                        "trees come from incompatible type universes"
+                    )
+                if len(la) != len(lb):
+                    return _LESS if len(la) < len(lb) else _GREATER
+                k += 1
+                if k < len(ga) or k < len(gb):
+                    stack.append((a, b, -k))
+                stack.append((la, lb, 0))
+        if not stack:
+            return _EQUAL
+        x, y, i = stack.pop()
+        if i < 0:
+            a, b, k = x, y, -i
+        else:
+            if i + 1 < len(x):
+                stack.append((x, y, i + 1))
+            a, b, k = x[i], y[i], 0
 
 
 def compare(a: TTree, b: TTree) -> TreeOrdering:

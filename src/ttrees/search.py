@@ -9,20 +9,23 @@ one depth-first walk of that tree, which emits each tree exactly once and
 keeps no visited set; its memory is the pending children along one
 root-to-tree chain.
 
-A child is never built to learn whether its removal leads back: the
-parent test is decided on the parent, along the removal spine only
-(`_child_sites`).  The removal keeps canonical trees canonical, so the
-canonical trees are a subtree of the same walk; `enumerate_canonical`
-prunes every child that fails the incremental canonicity check, which is
-canonical augmentation in the sense of McKay (1998).
+A tree's children are found on its removal spine alone (`_children`):
+each spine node is grown in place and only the spine above it is rebuilt,
+bottom up.  The removal keeps canonical trees canonical, so the canonical
+trees are a subtree of the same walk; `enumerate_canonical` drops a child
+as soon as a rebuilt member passes its right neighbour, before the level
+above is built (canonical augmentation, McKay 1998).  So every emitted
+child is built once and a rejected child is never finished.  Each tree's
+printed line is carried along: its parent's line plus one piece.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator
 
-from .core import StructuralProblem, TList, TTree, TypeSymbol, _trusted_ttree
+from .core import StructuralProblem, TTree, TypeSymbol, _trusted_ttree
 from .order import _compare, TreeOrdering, is_canonical
 
 _GREATER = TreeOrdering.GREATER
@@ -48,50 +51,56 @@ def extension_sites(
     max_height: int | None = None,
 ) -> list[ExtensionSite]:
     """All sites where a leaf may be added without violating a cardinality
-    bound (or the height bound, when given)."""
+    bound (or the height bound, when given), in depth-first pre-order."""
     sites: list[ExtensionSite] = []
-
-    def walk(node: TTree, path: tuple[tuple[TypeSymbol, int], ...]) -> None:
-        if max_height is None or len(path) < max_height:
+    path: list[tuple[TypeSymbol, int]] = []  # the steps to the node visited
+    stack: list[tuple] = [(tree, 0, None)]  # node, depth, last step
+    while stack:
+        node, depth, step = stack.pop()
+        if depth:
+            del path[depth - 1 :]
+            path.append(step)
+        if max_height is None or depth < max_height:
             for symbol in problem.component_types(node.label):
-                schema = problem.schema(node.label, symbol)
-                assert schema is not None
-                if len(node.tlist(symbol)) < schema.max_cardinality:
-                    sites.append(ExtensionSite(path, symbol))
-        for symbol, members in node.groups:
-            for index, member in enumerate(members):
-                walk(member, path + ((symbol, index),))
-
-    walk(tree, ())
+                if len(node.tlist(symbol)) < problem.schema(node.label, symbol).max_cardinality:
+                    sites.append(ExtensionSite(tuple(path), symbol))
+        for symbol, members in reversed(node.groups):
+            for index in range(len(members) - 1, -1, -1):
+                stack.append((members[index], depth + 1, (symbol, index)))
     return sites
 
 
-def _replace_tlist(node: TTree, symbol: TypeSymbol, members: TList) -> TTree:
-    """Copy of `node` with the `symbol` T-list replaced (dropped if empty)."""
-    groups = [(t, m) for t, m in node.groups if t != symbol]
-    if members:
-        groups.append((symbol, members))
-        groups.sort(key=lambda pair: pair[0].rank)
-    return _trusted_ttree(node.label, tuple(groups))
+def _rise(node: TTree, trail: tuple | None, canonical: bool = False) -> TTree | None:
+    """The root of `trail` with `node` in place of the member it leads to.
+
+    `trail` links `(ancestor, group position, member index, trail above)`
+    from that member's parent to the root.  With `canonical`, None as soon
+    as a rebuilt member is greater than its right neighbour.
+    """
+    while trail is not None:
+        ancestor, g, i, trail = trail
+        groups = ancestor.groups
+        symbol, members = groups[g]
+        if canonical and i + 1 < len(members) and _compare(node, members[i + 1], None) is _GREATER:
+            return None
+        group = ((symbol, members[:i] + (node,) + members[i + 1 :]),)
+        node = _trusted_ttree(ancestor.label, groups[:g] + group + groups[g + 1 :])
+    return node
 
 
 def apply_extension(tree: TTree, site: ExtensionSite) -> TTree:
     """The unit extension of `tree` at `site`."""
-
-    def rebuild(node: TTree, depth: int) -> TTree:
-        if depth == len(site.path):
-            members = node.tlist(site.leaf_type) + (_trusted_ttree(site.leaf_type),)
-            return _replace_tlist(node, site.leaf_type, members)
-        symbol, index = site.path[depth]
-        members = node.tlist(symbol)
-        if index >= len(members):
+    node, trail = tree, None
+    for symbol, index in site.path:
+        g = next((g for g, (t, _) in enumerate(node.groups) if t == symbol), None)
+        if g is None or index >= len(node.groups[g][1]):
             raise ValueError(f"site {site} does not address a node of this tree")
-        grown = rebuild(members[index], depth + 1)
-        return _replace_tlist(
-            node, symbol, members[:index] + (grown,) + members[index + 1 :]
-        )
-
-    return rebuild(tree, 0)
+        trail = (node, g, index, trail)
+        node = node.groups[g][1][index]
+    groups = [(t, m) for t, m in node.groups if t != site.leaf_type]
+    groups.append((site.leaf_type, node.tlist(site.leaf_type) + (_trusted_ttree(site.leaf_type),)))
+    groups.sort(key=lambda pair: pair[0].rank)
+    return _rise(_trusted_ttree(node.label, tuple(groups)), trail)
 
 
 def _extension_pairs(
@@ -155,81 +164,97 @@ def canonical_removal(tree: TTree) -> TTree:
     """Remove one leaf, deterministically, without leaving the canonical
     subspace.
 
-    Descend into the first non-empty T-list; recurse into its first
-    non-leaf member if one exists, otherwise drop the list's last leaf.
+    Descend into the first non-empty T-list, and on into its first
+    non-leaf member while one exists; there drop the list's last leaf.
     The result always precedes the input in the tree order, and is
     canonical whenever the input is.
     """
     if tree.is_leaf:
         raise ValueError("cannot remove a node from a single-node tree")
-    symbol, members = tree.groups[0]
-    target = next((i for i, m in enumerate(members) if not m.is_leaf), None)
-    if target is None:
-        shrunk = members[:-1]
-    else:
-        shrunk = (
-            members[:target]
-            + (canonical_removal(members[target]),)
-            + members[target + 1 :]
-        )
-    return _replace_tlist(tree, symbol, shrunk)
+    node, trail = tree, None
+    while True:
+        symbol, members = node.groups[0]
+        target = next((i for i, m in enumerate(members) if m.groups), None)
+        if target is None:
+            break
+        trail = (node, 0, target, trail)
+        node = members[target]
+    rest = node.groups[1:]
+    shrunk = ((symbol, members[:-1]),) + rest if len(members) > 1 else rest
+    return _rise(_trusted_ttree(node.label, shrunk), trail)
 
 
-def _require_bounded(problem: StructuralProblem, max_height: int | None) -> None:
-    if problem.is_cyclic and max_height is None:
-        raise ValueError(
-            "problem has a cyclic type graph; enumeration needs max_height"
-        )
+def _growth_table(problem: StructuralProblem) -> list[tuple]:
+    """Per type rank: (component, rank, max cardinality, leaf, name) rows."""
+    leaves = {r.component: _trusted_ttree(r.component) for r in problem.relations}
+    return [
+        [(c, c.rank, problem.schema(t, c).max_cardinality, leaves[c], c.name)
+         for c in problem.component_types(t)]
+        for t in problem.types
+    ]
 
 
-def _child_sites(
-    tree: TTree,
-    problem: StructuralProblem,
-    max_height: int | None,
-) -> list[ExtensionSite]:
-    """The extension sites of `tree` whose grown tree `canonical_removal`
-    maps back to `tree`, found without growing it.
+def _children(
+    tree: TTree, line: str, table: list[tuple], max_height: int | None, canonical: bool
+) -> list[tuple[TTree, str]]:
+    """The children of `tree`, whose line is `line`, each with its line;
+    with `canonical`, the canonical children of a canonical `tree`.
 
-    The removal of the grown tree must end at the new leaf.  So on the way
-    down every step enters the node's first T-list with only leaves before
-    it, and at the receiving node the new leaf's T-list is, or becomes, the
-    first one and holds only leaves.  Only that spine is walked.
+    A child's removal must end at its new leaf, so the walk steps only into
+    a node's first T-list, to its leaves and first non-leaf member, and
+    grows a T-list that is or becomes the first and holds only leaves.
+    Every member left of a spine node is a leaf of one type, which places
+    the new text.  A member equal to its right neighbour would pass it when
+    grown, so the canonical walk never enters one.
     """
-    sites: list[ExtensionSite] = []
-    frontier: list[tuple[TTree, tuple[tuple[TypeSymbol, int], ...]]] = [(tree, ())]
-    while frontier:
-        node, path = frontier.pop()
-        first_type, first_members = node.groups[0] if node.groups else (None, ())
-        if max_height is None or len(path) < max_height:
-            for symbol in problem.component_types(node.label):
-                if first_type is not None and symbol.rank > first_type.rank:
+    found = []
+    spine = [(tree, 0, 0, None)]  # node, depth, offset of its text, trail
+    while spine:
+        node, depth, at, trail = spine.pop()
+        label, groups = node.label, node.groups
+        at += len(label.name)  # where "(" is or would go
+        if groups:
+            first_type, first = groups[0]
+            rank, count = first_type.rank, len(first)
+            j = next((i for i, m in enumerate(first) if m.groups), count)
+        if max_height is None or depth < max_height:
+            for symbol, symbol_rank, cap, leaf, name in table[label.rank]:
+                if not groups:
+                    grown, cut, piece = ((symbol, (leaf,)),), at, "(" + name + ")"
+                elif symbol_rank < rank:
+                    grown, cut, piece = ((symbol, (leaf,)),) + groups, at + 1, name + ","
+                elif symbol_rank == rank and j == count < cap:
+                    grown = ((symbol, first + (leaf,)),) + groups[1:]
+                    cut, piece = at + count * (len(name) + 1), "," + name
+                else:
                     break
-                members = first_members if symbol == first_type else ()
-                schema = problem.schema(node.label, symbol)
-                assert schema is not None
-                if len(members) < schema.max_cardinality and all(m.is_leaf for m in members):
-                    sites.append(ExtensionSite(path, symbol))
-        for index, member in enumerate(first_members):
-            frontier.append((member, path + ((first_type, index),)))
-            if not member.is_leaf:
-                break
-    return sites
+                child = _rise(_trusted_ttree(label, grown), trail, canonical)
+                if child is not None:
+                    found.append((child, line[:cut] + piece + line[cut:]))
+        if groups:
+            step = len(first_type.name) + 1
+            # Canonically, the leaves before j - 1 equal their right neighbours.
+            for i in range(max(j - 1, 0) if canonical else 0, min(j + 1, count)):
+                if canonical and i == j and i + 1 < count and first[i] == first[i + 1]:
+                    continue
+                spine.append((first[i], depth + 1, at + 1 + i * step, (node, 0, i, trail)))
+    return found
 
 
-def _enumerate(
+def _walk(
     problem: StructuralProblem, max_height: int | None, canonical: bool
-) -> Iterator[TTree]:
-    """Depth-first reverse search from the root leaf along `canonical_removal`;
-    with `canonical`, children failing the incremental check are pruned."""
-    _require_bounded(problem, max_height)
-    stack = [problem.root_leaf()]
+) -> Iterator[tuple[TTree, str]]:
+    """Depth-first reverse search from the root leaf: each tree (only the
+    canonical ones with `canonical`) with its `render_ttree` line."""
+    if problem.is_cyclic and max_height is None:
+        raise ValueError("problem has a cyclic type graph; enumeration needs max_height")
+    table = _growth_table(problem)
+    root = problem.root_leaf()
+    stack = [(root, root.label.name)]
     while stack:
-        tree = stack.pop()
-        yield tree
-        for site in _child_sites(tree, problem, max_height):
-            child = apply_extension(tree, site)
-            if not canonical or is_canonical_incremental(child, site):
-                stack.append(child)
+        tree, line = stack.pop()
+        yield tree, line
+        stack += _children(tree, line, table, max_height, canonical)
 
 
 def enumerate_all(
@@ -245,7 +270,7 @@ def enumerate_all(
     `max_height` bounds tree height and is mandatory for cyclic type
     graphs.
     """
-    return _enumerate(problem, max_height, canonical=False)
+    return map(itemgetter(0), _walk(problem, max_height, canonical=False))
 
 
 def enumerate_canonical(
@@ -256,9 +281,9 @@ def enumerate_canonical(
     """Every canonical conforming T-tree exactly once.
 
     Generates constructively: the same walk as `enumerate_all`, keeping
-    only children that pass `is_canonical_incremental`.  The removal of a
-    canonical tree is canonical, so every canonical tree is reached
-    through canonical trees alone; nothing is emitted twice and nothing is
-    missed.
+    only children whose grown members stay in order, which is what
+    `is_canonical_incremental` checks.  The removal of a canonical tree is
+    canonical, so every canonical tree is reached through canonical trees
+    alone; nothing is emitted twice and nothing is missed.
     """
-    return _enumerate(problem, max_height, canonical=True)
+    return map(itemgetter(0), _walk(problem, max_height, canonical=True))

@@ -224,3 +224,44 @@ def test_deep_path_tree_through_every_tree_command(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == expected + "\n", argv[0]
         assert captured.err == ""
+
+
+def _two_paths_problem(tmp_path):
+    problem = tmp_path / "two.prob"
+    problem.write_text("root A\ntype A\ntype B\nrel A B max 2\nrel B B max 1\n")
+    return ["--problem", str(problem)]
+
+
+def _path(depth):
+    return "B(" * (depth - 1) + "B" + ")" * (depth - 1)
+
+
+def test_check_compares_deep_equal_siblings(tmp_path, capsys):
+    # Two equal 20 000-level paths: the sibling comparison walks them to the end.
+    args = _two_paths_problem(tmp_path)
+    deep = _path(20_000)
+    expr = f"A({deep},{deep})"
+    assert run(["check", *args, expr]) == 0
+    assert capsys.readouterr().out == "canonical\n"
+    assert run(["canon", *args, expr]) == 0
+    assert capsys.readouterr().out == expr + "\n"
+
+
+def test_check_orders_deep_siblings_that_differ_at_the_bottom(tmp_path, capsys):
+    args = _two_paths_problem(tmp_path)
+    shorter, longer = _path(20_000), _path(20_001)
+    assert run(["check", *args, f"A({longer},{shorter})"]) == 1
+    assert capsys.readouterr().out == "non-canonical\n"
+    assert run(["check", *args, f"A({shorter},{longer})"]) == 0
+    assert capsys.readouterr().out == "canonical\n"
+    assert run(["canon", *args, f"A({longer},{shorter})"]) == 0
+    assert capsys.readouterr().out == f"A({shorter},{longer})\n"
+
+
+def test_removal_of_deep_path_tree(tmp_path, capsys):
+    problem = tmp_path / "deep.prob"
+    problem.write_text("root A\ntype A\ntype B\nrel A B max 1\nrel B B max 1\n")
+    assert run(["removal", "--problem", str(problem), f"A({_path(100_000)})"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"A({_path(99_999)})\n"
+    assert captured.err == ""

@@ -24,7 +24,7 @@ from ttrees import (
     unit_extensions,
 )
 from ttrees import search
-from ttrees.search import _child_sites
+from ttrees.search import _children, _growth_table, _walk
 from oracles import all_conforming_trees
 
 
@@ -106,6 +106,21 @@ def test_removal_examples(abcd):
     )
 
 
+def test_growth_and_removal_of_deep_path_tree():
+    # A 100 000-level path: far deeper than the interpreter's recursion
+    # limit, and only its bottom node can grow.
+    problem = StructuralProblem("A", ["A", "B"], [("A", "B", 1), ("B", "B", 1)], allow_cyclic=True)
+    depth = 100_000
+    tree = parse_ttree("A(" + "B(" * (depth - 1) + "B" + ")" * depth, problem)
+    (site,) = extension_sites(tree, problem)
+    assert len(site.path) == depth and site.leaf_type == problem.type("B")
+    assert extension_sites(tree, problem, max_height=depth) == []
+    grown = apply_extension(tree, site)
+    assert grown.node_count == depth + 2 and grown.height == depth + 1
+    assert canonical_removal(grown) == tree
+    assert canonical_removal(tree).height == depth - 1
+
+
 def test_removal_of_single_node_fails(abcd):
     with pytest.raises(ValueError, match="single-node"):
         canonical_removal(parse_ttree("A", abcd))
@@ -148,41 +163,63 @@ def test_enumerate_all_of_cyclic_problem_matches_product_oracle():
     assert set(trees) == set(all_conforming_trees(cyclic_problem(), 3))
 
 
-def test_parent_rule_matches_removal(abcd, wide):
-    corpora = [
+@pytest.fixture
+def walk_corpora(abcd, wide):
+    return [
         (chain_problem(2, 4), None),
         (chain_problem(3, 2), None),
         (abcd, None),
         (wide, 2),
         (cyclic_problem(), 3),
     ]
-    for problem, max_height in corpora:
+
+
+def test_parent_rule_matches_removal(walk_corpora):
+    # All-trees mode: exactly the extensions whose removal leads back.  Canonical
+    # mode (on canonical trees): exactly those that also pass the incremental check.
+    for problem, max_height in walk_corpora:
+        table = _growth_table(problem)
         for tree in all_conforming_trees(problem, max_height):
-            accepted = _child_sites(tree, problem, max_height)
-            parent_sites = {
-                site
-                for site in extension_sites(tree, problem, max_height=max_height)
-                if canonical_removal(apply_extension(tree, site)) == tree
-            }
-            assert len(accepted) == len(set(accepted))
-            assert set(accepted) == parent_sites, render_ttree(tree)
+            line = render_ttree(tree)
+            sites = extension_sites(tree, problem, max_height=max_height)
+            grown = [(site, apply_extension(tree, site)) for site in sites]
+            preimages = [(site, child) for site, child in grown if canonical_removal(child) == tree]
+            children = [child for child, _ in _children(tree, line, table, max_height, False)]
+            assert len(children) == len(set(children)) == len(preimages), line
+            assert set(children) == {child for _, child in preimages}, line
+            if is_canonical(tree):
+                kept = {child for site, child in preimages if is_canonical_incremental(child, site)}
+                children = [child for child, _ in _children(tree, line, table, max_height, True)]
+                assert len(children) == len(kept) and set(children) == kept, line
+
+
+def test_walk_carries_each_tree_line(walk_corpora):
+    for problem, max_height in walk_corpora:
+        for canonical in (False, True):
+            for tree, line in _walk(problem, max_height, canonical):
+                assert line == render_ttree(tree)
 
 
 def test_canonical_enumeration_decides_before_building(monkeypatch):
-    # Children whose removal does not lead back are never built; only the
-    # canonicity filter discards built trees.
-    calls = 0
-    real = search.apply_extension
+    # A rejected child is dropped before its root is built, so every root
+    # tree built is emitted; only the root leaf is not built by the walk.
+    # Members equal to their right neighbour are never grown: growing them
+    # too would build 30 095 trees here.
+    problem = chain_problem(3, 3)
+    roots = built = 0
+    real = search._trusted_ttree
 
-    def counted(tree, site):
-        nonlocal calls
-        calls += 1
-        return real(tree, site)
+    def counted(label, groups=()):
+        nonlocal roots, built
+        roots += label == problem.root_type
+        built += 1
+        return real(label, groups)
 
-    monkeypatch.setattr(search, "apply_extension", counted)
-    emitted = sum(1 for _ in enumerate_canonical(chain_problem(3, 3)))
+    monkeypatch.setattr(search, "_trusted_ttree", counted)
+    emitted = sum(1 for _ in enumerate_canonical(problem))
     assert emitted == 8436
-    assert calls <= 2 * emitted
+    assert roots == 8435
+    assert built <= 25_756
 
 
 def test_enumerate_canonical_counts():
