@@ -45,11 +45,9 @@ from .order import (
     TreeOrdering,
     canonicalize,
     compare,
-    compare_any,
     is_canonical,
     is_canonical_counted,
     isomorphic,
-    less,
 )
 from .search import (
     ExtensionSite,
@@ -85,7 +83,6 @@ __all__ = [
     "canonicalize",
     "chain_problem",
     "compare",
-    "compare_any",
     "comparison_table",
     "config_to_ttree",
     "count_all",
@@ -97,7 +94,6 @@ __all__ = [
     "is_canonical_counted",
     "is_canonical_incremental",
     "isomorphic",
-    "less",
     "make_config",
     "parse_config",
     "parse_problem",

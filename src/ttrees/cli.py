@@ -27,9 +27,9 @@ from .core import (
     ttree_conforms,
     ttree_to_config,
 )
-from .counting import approx_canonical, comparison_table, count_all, count_canonical
-from .order import canonicalize, compare_any, is_canonical, isomorphic
-from .search import _walk, canonical_removal, enumerate_all, enumerate_canonical
+from .counting import _decimal, approx_canonical, comparison_table, count_all, count_canonical
+from .order import canonicalize, compare, is_canonical, isomorphic
+from .search import _walk, canonical_removal
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,6 +39,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "composition T-trees.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    with_problem = argparse.ArgumentParser(add_help=False)
+    with_problem.add_argument("--problem", type=Path, help="problem file for type names")
 
     count = commands.add_parser(
         "count", help="exact total and canonical tree counts of a chain problem"
@@ -76,48 +78,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     enum.add_argument("--limit", type=int, default=None, help="stop after this many")
 
-    check = commands.add_parser("check", help="test whether a T-tree is canonical")
-    check.add_argument("--problem", type=Path, default=None)
+    check = commands.add_parser(
+        "check", parents=[with_problem], help="test whether a T-tree is canonical"
+    )
     check.add_argument("expr")
 
     canon = commands.add_parser(
-        "canon", help="print the canonical representative of a T-tree"
+        "canon", parents=[with_problem], help="print the canonical representative of a T-tree"
     )
-    canon.add_argument("--problem", type=Path, default=None)
     canon.add_argument("expr")
 
-    iso = commands.add_parser("iso", help="test whether two T-trees are isomorphic")
-    iso.add_argument("--problem", type=Path, default=None)
+    iso = commands.add_parser(
+        "iso", parents=[with_problem], help="test whether two T-trees are isomorphic"
+    )
     iso.add_argument("left")
     iso.add_argument("right")
 
     removal = commands.add_parser(
-        "removal", help="apply one canonical leaf removal to a T-tree"
+        "removal", parents=[with_problem], help="apply one canonical leaf removal to a T-tree"
     )
-    removal.add_argument("--problem", type=Path, default=None)
     removal.add_argument("expr")
 
     roundtrip = commands.add_parser(
         "roundtrip",
+        parents=[with_problem],
         help="read a configuration file, print its T-tree, verify the "
         "conversion is invertible",
     )
-    roundtrip.add_argument("--problem", type=Path, default=None)
     roundtrip.add_argument("config", type=Path)
 
     return parser
 
 
-def _load_problem(path: Path | None, *, allow_cyclic: bool = True) -> StructuralProblem | None:
+def _load_problem(path: Path | None) -> StructuralProblem | None:
     if path is None:
         return None
-    return parse_problem(path.read_text(encoding="utf-8"), allow_cyclic=allow_cyclic)
+    return parse_problem(path.read_text(encoding="utf-8"), allow_cyclic=True)
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
     n = count_all(args.depth, args.branch)
     m = count_canonical(args.depth, args.branch)
-    line = f"N={n} M={m}"
+    line = f"N={_decimal(n)} M={_decimal(m)}"
     if args.approx:
         line += f" approx={approx_canonical(args.depth, args.branch):.6g}"
     print(line)
@@ -131,21 +133,10 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
-    problem = parse_problem(args.problem.read_text(encoding="utf-8"), allow_cyclic=True)
-    if problem.is_cyclic and args.max_depth is None:
-        print(
-            "error: cyclic composition type graph; pass --max-depth",
-            file=sys.stderr,
-        )
-        return 2
+    walk = _walk(_load_problem(args.problem), args.max_depth, args.canonical)
     if args.sorted:
-        enumerator = enumerate_canonical if args.canonical else enumerate_all
-        trees = enumerator(problem, max_height=args.max_depth)
-        key = cmp_to_key(lambda a, b: compare_any(a, b).value)
-        lines = map(render_ttree, sorted(trees, key=key))
-    else:
-        lines = (line for _, line in _walk(problem, args.max_depth, args.canonical))
-    for line in islice(lines, args.limit):
+        walk = sorted(walk, key=cmp_to_key(lambda x, y: compare(x[0], y[0]).value))
+    for _, line in islice(walk, args.limit):
         print(line)
     return 0
 

@@ -23,6 +23,19 @@ from dataclasses import dataclass
 from .core import StructuralProblem
 
 
+_CHUNK = 10**1000  # 1000 digits, under the interpreter's int-to-str limit
+
+
+def _decimal(n: int) -> str:
+    """Exact decimal digits of `n` >= 0 of any length, 1000 at a time."""
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(f"{low:01000d}")
+    chunks.append(str(n))
+    return "".join(reversed(chunks))
+
+
 def _validate(depth: int, branch: int) -> None:
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -125,11 +138,11 @@ class CountTable:
         flagged = set(self.flagged_cells())
         header = ["N / M"] + [f"k={k}" for k in range(1, self.k_max + 1)]
         rows = [header]
-        for p in range(1, self.p_max + 1):
+        for p, (totals, canonical) in enumerate(zip(self.totals, self.canonical), 1):
             row = [f"p={p}"]
-            for k in range(1, self.k_max + 1):
+            for k, (n, m) in enumerate(zip(totals, canonical), 1):
                 mark = "*" if (p, k) in flagged else ""
-                row.append(f"{self.total(p, k)} / {self.canonical_count(p, k)}{mark}")
+                row.append(f"{_decimal(n)} / {_decimal(m)}{mark}")
             rows.append(row)
         widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
         lines = [
@@ -143,9 +156,9 @@ class CountTable:
     def to_csv(self) -> str:
         """`p,k,N,M` rows with exact decimal integers."""
         lines = ["p,k,N,M"]
-        for p in range(1, self.p_max + 1):
-            for k in range(1, self.k_max + 1):
-                lines.append(f"{p},{k},{self.total(p, k)},{self.canonical_count(p, k)}")
+        for p, (totals, canonical) in enumerate(zip(self.totals, self.canonical), 1):
+            for k, (n, m) in enumerate(zip(totals, canonical), 1):
+                lines.append(f"{p},{k},{_decimal(n)},{_decimal(m)}")
         return "\n".join(lines) + "\n"
 
 
@@ -169,7 +182,7 @@ def comparison_table(p_max: int, k_max: int) -> CountTable:
                     p,
                     k,
                     f"previously published total {published} disagrees with "
-                    f"the recurrence value {totals[p - 1][k - 1]}",
+                    f"the recurrence value {_decimal(totals[p - 1][k - 1])}",
                 )
             )
     return CountTable(p_max, k_max, totals, canonical, tuple(notes))

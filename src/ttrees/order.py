@@ -34,14 +34,6 @@ _EQUAL = TreeOrdering.EQUAL
 _GREATER = TreeOrdering.GREATER
 
 
-def _check_same_root(a: TTree, b: TTree) -> None:
-    if a.label != b.label:
-        raise ValueError(
-            f"cannot order trees with distinct root types "
-            f"{a.label.name!r} and {b.label.name!r}"
-        )
-
-
 def _compare(a: TTree, b: TTree, count: list[int] | None) -> TreeOrdering:
     # Roots are known to carry the same label.  Absent groups stand for
     # empty T-lists, so the two group sequences are merged by type rank.
@@ -94,25 +86,10 @@ def compare(a: TTree, b: TTree) -> TreeOrdering:
     EQUAL holds exactly for structurally equal trees.  Raises ValueError
     when the root types differ.
     """
-    _check_same_root(a, b)
-    return _compare(a, b, None)
-
-
-def less(a: TTree, b: TTree) -> bool:
-    """True iff `a` precedes or equals `b` (same root type required)."""
-    return compare(a, b) is not _GREATER
-
-
-def compare_any(a: TTree, b: TTree) -> TreeOrdering:
-    """Extension of `compare` to arbitrary root types.
-
-    Trees with distinct root types order by type rank.  This exists only
-    to present globally sorted tree listings; canonicity never depends on
-    it.
-    """
     if a.label != b.label:
-        ka, kb = (a.label.rank, a.label.name), (b.label.rank, b.label.name)
-        return _LESS if ka < kb else _GREATER
+        raise ValueError(
+            f"cannot order trees with distinct root types {a.label.name!r} and {b.label.name!r}"
+        )
     return _compare(a, b, None)
 
 

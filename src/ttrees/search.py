@@ -247,7 +247,12 @@ def _walk(
     """Depth-first reverse search from the root leaf: each tree (only the
     canonical ones with `canonical`) with its `render_ttree` line."""
     if problem.is_cyclic and max_height is None:
-        raise ValueError("problem has a cyclic type graph; enumeration needs max_height")
+        raise ValueError(
+            "problem has a cyclic type graph; enumeration needs a height bound "
+            "(max_height or --max-depth)"
+        )
+    if max_height is not None and max_height < 0:
+        raise ValueError(f"height bound must be >= 0, got {max_height}")
     table = _growth_table(problem)
     root = problem.root_leaf()
     stack = [(root, root.label.name)]

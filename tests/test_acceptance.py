@@ -29,11 +29,11 @@ from ttrees import (
     is_canonical_counted,
     is_canonical_incremental,
     canonical_removal,
-    less,
     parse_config,
     render_ttree,
     unit_extensions,
     StructuralProblem,
+    TreeOrdering,
 )
 from conftest import PC_CONFIG
 from oracles import (
@@ -220,7 +220,7 @@ def test_06_canonical_removal_properties():
         checked += 1
         if not is_canonical(shrunk):
             failures.append(f"{render_ttree(tree)}: removal not canonical")
-        if not less(shrunk, tree):
+        if compare(shrunk, tree) is TreeOrdering.GREATER:
             failures.append(f"{render_ttree(tree)}: removal does not precede")
         if shrunk.node_count != tree.node_count - 1:
             failures.append(f"{render_ttree(tree)}: wrong node count")

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import math
+from functools import cmp_to_key
+
 import pytest
 
 from ttrees import (
     chain_problem,
-    compare_any,
+    compare,
     count_canonical,
+    parse_problem,
     parse_ttrees,
     render_problem,
     TreeOrdering,
@@ -24,6 +28,8 @@ rel A B max 2
 rel A C max 2
 rel B D max 2
 """
+
+CYCLIC_PROBLEM = "root X\ntype X\ntype Y\nrel X Y max 2\nrel Y Y max 2\n"
 
 
 @pytest.fixture
@@ -64,6 +70,29 @@ def test_table_csv(capsys):
     assert out[-1] == "2,2,13,10"
 
 
+def _from_digits(digits):
+    """The integer `digits` spells, read in chunks short enough for `int`."""
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start : start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_counts_past_the_int_to_str_digit_limit(capsys):
+    n = m = 1
+    for _ in range(6):
+        n, m = sum(n**i for i in range(7)), math.comb(m + 6, 6)
+    assert run(["table", "--pmax", "6", "--kmax", "6", "--csv"]) == 0
+    p, k, n_digits, m_digits = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert (p, k) == ("6", "6") and len(n_digits) > 4300
+    assert _from_digits(n_digits) == n and _from_digits(m_digits) == m
+    assert run(["count", "--depth", "6", "--branch", "6"]) == 0
+    assert capsys.readouterr().out.split() == ["N=" + n_digits, "M=" + m_digits]
+    assert run(["table", "--pmax", "6", "--kmax", "6"]) == 0
+    assert f"{n_digits} / {m_digits}" in capsys.readouterr().out
+
+
 def test_enum_counts_match_counting(tmp_path, capsys):
     for depth, branch in [(2, 2), (2, 3)]:
         path = tmp_path / f"chain{depth}{branch}.prob"
@@ -78,7 +107,36 @@ def test_enum_sorted_stream_is_strictly_increasing(abcd_file, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     trees = parse_ttrees(lines)
     for a, b in zip(trees, trees[1:]):
-        assert compare_any(a, b) is TreeOrdering.LESS
+        assert compare(a, b) is TreeOrdering.LESS
+
+
+@pytest.mark.parametrize(
+    "text, flags, limit",
+    [
+        (ABCD_PROBLEM, [], None),
+        (ABCD_PROBLEM, ["--canonical"], None),
+        (render_problem(chain_problem(2, 3)), [], None),
+        (CYCLIC_PROBLEM, ["--max-depth", "3"], None),
+        (CYCLIC_PROBLEM, ["--max-depth", "3", "--canonical"], 7),
+    ],
+)
+def test_enum_sorted_is_the_walk_in_tree_order(tmp_path, capsys, text, flags, limit):
+    path = tmp_path / "p.prob"
+    path.write_text(text)
+    assert run(["enum", str(path), *flags]) == 0
+    walk_lines = capsys.readouterr().out.splitlines()
+    assert len(set(walk_lines)) == len(walk_lines)
+    argv = ["enum", str(path), "--sorted", *flags]
+    assert run(argv + ([] if limit is None else ["--limit", str(limit)])) == 0
+    lines = capsys.readouterr().out.splitlines()
+
+    problem = parse_problem(text, allow_cyclic=True)
+    trees = parse_ttrees(lines, problem)
+    for a, b in zip(trees, trees[1:]):
+        assert compare(a, b) is TreeOrdering.LESS
+    tree_of = dict(zip(walk_lines, parse_ttrees(walk_lines, problem)))
+    key = cmp_to_key(lambda x, y: compare(tree_of[x], tree_of[y]).value)
+    assert lines == sorted(walk_lines, key=key)[:limit]
 
 
 def test_enum_lines_parse_back(abcd_file, capsys):
@@ -104,6 +162,13 @@ def test_enum_cyclic_needs_depth(tmp_path, capsys):
     assert "cyclic" in capsys.readouterr().err
     assert run(["enum", str(path), "--max-depth", "2"]) == 0
     assert capsys.readouterr().out.strip().splitlines() == ["X", "X(Y)", "X(Y(Y))"]
+
+
+def test_enum_rejects_negative_height(abcd_file, capsys):
+    assert run(["enum", str(abcd_file), "--max-depth", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "height bound must be >= 0" in captured.err
 
 
 def test_check_canonical(abcd_file, capsys):

@@ -11,12 +11,10 @@ from ttrees import (
     canonicalize,
     chain_problem,
     compare,
-    compare_any,
     enumerate_all,
     is_canonical,
     is_canonical_counted,
     isomorphic,
-    less,
     parse_ttree,
     parse_ttrees,
     render_ttree,
@@ -54,15 +52,15 @@ def test_first_differing_member_decides(abcd):
 def test_leaf_is_minimal(abcd):
     leaf = parse_ttree("A", abcd)
     for expr in ["A", "A(B)", "A(B(D),B)", "A(C,C)"]:
-        assert less(leaf, parse_ttree(expr, abcd))
-    assert less(parse_ttree("A(B)", abcd), leaf) is False
+        assert compare(leaf, parse_ttree(expr, abcd)) is not GREATER
+    assert compare(parse_ttree("A(B)", abcd), leaf) is GREATER
 
 
 def test_compare_requires_same_root(abcd):
     with pytest.raises(ValueError, match="distinct root types"):
         compare(parse_ttree("B", abcd), parse_ttree("C", abcd))
     with pytest.raises(ValueError, match="distinct root types"):
-        less(parse_ttree("B", abcd), parse_ttree("C", abcd))
+        compare(parse_ttree("B", abcd), parse_ttree("C", abcd)) is not GREATER
 
 
 def test_compare_rejects_mixed_universes():
@@ -70,24 +68,6 @@ def test_compare_rejects_mixed_universes():
     b = parse_ttree("A(C)")        # universe {A, C}: C also gets rank 1
     with pytest.raises(ValueError, match="universes"):
         compare(a, b)
-
-
-def test_compare_any_orders_roots_by_rank(abcd):
-    b, c = parse_ttrees(["B(D,D)", "C"], abcd)
-    assert compare_any(b, c) is LESS
-    assert compare_any(c, b) is GREATER
-    assert compare_any(b, b) is EQUAL
-
-
-def test_less_equals_three_way(abcd, wide):
-    rng = random.Random(7)
-    trees = [random_tree(wide, rng.randrange(1, 12), rng) for _ in range(60)]
-    trees += [parse_ttree(e, abcd) for e in ["A", "A(B)", "A(B,B(D))", "A(C)"]]
-    for a in trees:
-        for b in trees:
-            if a.label != b.label:
-                continue
-            assert less(a, b) == (compare(a, b) is not GREATER)
 
 
 def test_canonical_examples(abcd):
@@ -151,21 +131,21 @@ def test_oracle_counts_ten_classes(chain22_corpus):
 def test_totality_on_chain22(chain22_corpus):
     for a in chain22_corpus:
         for b in chain22_corpus:
-            assert less(a, b) or less(b, a)
+            assert compare(a, b) is not GREATER or compare(b, a) is not GREATER
 
 
 def test_antisymmetry_on_chain22(chain22_corpus):
     for a in chain22_corpus:
         for b in chain22_corpus:
-            assert (less(a, b) and less(b, a)) == (a == b)
+            assert (compare(a, b) is not GREATER and compare(b, a) is not GREATER) == (a == b)
 
 
 def test_transitivity_on_chain22(chain22_corpus):
     corpus = chain22_corpus
     for a, b, c in combinations(corpus, 3):
         for x, y, z in [(a, b, c), (a, c, b), (b, a, c)]:
-            if less(x, y) and less(y, z):
-                assert less(x, z)
+            if compare(x, y) is not GREATER and compare(y, z) is not GREATER:
+                assert compare(x, z) is not GREATER
 
 
 def test_compare_agrees_with_key_oracle(wide):
