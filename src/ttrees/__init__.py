@@ -53,7 +53,6 @@ from .search import (
     ExtensionSite,
     apply_extension,
     canonical_removal,
-    canonical_unit_extensions,
     enumerate_all,
     enumerate_canonical,
     extension_sites,
@@ -79,7 +78,6 @@ __all__ = [
     "approx_canonical",
     "apply_extension",
     "canonical_removal",
-    "canonical_unit_extensions",
     "canonicalize",
     "chain_problem",
     "compare",

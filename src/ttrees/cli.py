@@ -133,6 +133,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_enum(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     walk = _walk(_load_problem(args.problem), args.max_depth, args.canonical)
     if args.sorted:
         walk = sorted(walk, key=cmp_to_key(lambda x, y: compare(x[0], y[0]).value))

@@ -176,9 +176,6 @@ class StructuralProblem:
         except KeyError:
             raise UnknownTypeError(f"unknown type {name!r}") from None
 
-    def has_type(self, name: str) -> bool:
-        return name in self._by_name
-
     def symbol_of(self, symbol: TypeSymbol) -> TypeSymbol:
         """Return `symbol` if it is this problem's symbol, else raise."""
         own = self._by_name.get(symbol.name)

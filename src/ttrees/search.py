@@ -26,7 +26,7 @@ from operator import itemgetter
 from typing import Iterator
 
 from .core import StructuralProblem, TTree, TypeSymbol, _trusted_ttree
-from .order import _compare, TreeOrdering, is_canonical
+from .order import _compare, TreeOrdering
 
 _GREATER = TreeOrdering.GREATER
 
@@ -103,16 +103,9 @@ def apply_extension(tree: TTree, site: ExtensionSite) -> TTree:
     return _rise(_trusted_ttree(node.label, tuple(groups)), trail)
 
 
-def _extension_pairs(
-    tree: TTree, problem: StructuralProblem
-) -> list[tuple[ExtensionSite, TTree]]:
-    return [(site, apply_extension(tree, site)) for site in extension_sites(tree, problem)]
-
-
 def unit_extensions(tree: TTree, problem: StructuralProblem) -> list[TTree]:
     """All distinct T-trees obtained by adding one leaf to `tree`."""
-    grown = (extended for _, extended in _extension_pairs(tree, problem))
-    return list(dict.fromkeys(grown))
+    return list(dict.fromkeys(apply_extension(tree, s) for s in extension_sites(tree, problem)))
 
 
 def is_canonical_incremental(tree: TTree, site: ExtensionSite) -> bool:
@@ -141,23 +134,6 @@ def is_canonical_incremental(tree: TTree, site: ExtensionSite) -> bool:
         if _compare(members[-2], members[-1], None) is _GREATER:
             return False
     return True
-
-
-def canonical_unit_extensions(tree: TTree, problem: StructuralProblem) -> list[TTree]:
-    """The canonical members of `unit_extensions(tree, problem)`.
-
-    Requires `tree` itself to be canonical (ValueError otherwise); the
-    per-extension test is then the incremental path check.  Whenever any
-    canonical extension of a canonical tree exists, this returns it.
-    """
-    if not is_canonical(tree):
-        raise ValueError("tree is not canonical")
-    kept = (
-        extended
-        for site, extended in _extension_pairs(tree, problem)
-        if is_canonical_incremental(extended, site)
-    )
-    return list(dict.fromkeys(kept))
 
 
 def canonical_removal(tree: TTree) -> TTree:

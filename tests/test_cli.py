@@ -171,6 +171,15 @@ def test_enum_rejects_negative_height(abcd_file, capsys):
     assert "height bound must be >= 0" in captured.err
 
 
+def test_enum_rejects_negative_limit(abcd_file, capsys):
+    assert run(["enum", str(abcd_file), "--limit", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--limit" in captured.err
+    assert run(["enum", str(abcd_file), "--limit", "0"]) == 0
+    assert capsys.readouterr().out == ""
+
+
 def test_check_canonical(abcd_file, capsys):
     assert run(["check", "--problem", str(abcd_file), "A(B,B(D))"]) == 0
     assert capsys.readouterr().out == "canonical\n"

@@ -9,7 +9,6 @@ from ttrees import (
     TreeOrdering,
     apply_extension,
     canonical_removal,
-    canonical_unit_extensions,
     canonicalize,
     chain_problem,
     compare,
@@ -79,23 +78,6 @@ def test_apply_extension_rejects_bad_site(abcd):
     deep = [s for s in sites if s.path and s.path[0][1] == 1]
     with pytest.raises(ValueError, match="does not address"):
         apply_extension(tree, deep[0])
-
-
-def test_canonical_extensions_filter(abcd):
-    tree = parse_ttree("A(B,B)", abcd)
-    kept = renderings(canonical_unit_extensions(tree, abcd))
-    assert "A(B,B(D))" in kept
-    assert "A(B(D),B)" not in kept
-
-
-def test_canonical_extensions_of_leaf(abcd):
-    kept = renderings(canonical_unit_extensions(parse_ttree("A", abcd), abcd))
-    assert kept == ["A(B)", "A(C)"]
-
-
-def test_canonical_extensions_require_canonical_input(abcd):
-    with pytest.raises(ValueError, match="not canonical"):
-        canonical_unit_extensions(parse_ttree("A(B(D),B)", abcd), abcd)
 
 
 def test_removal_examples(abcd):
@@ -246,13 +228,16 @@ def test_canonical_enumeration_covers_all_classes(abcd):
 
 
 def test_reachability_by_repeated_canonical_extension(abcd):
-    # closure of {leaf} under canonical extension = all canonical trees
+    # closure of {leaf} under canonical extension = all canonical trees; a
+    # tree's canonical extensions are the grown trees that pass the
+    # incremental check at their site
     frontier = [abcd.root_leaf()]
     reached = {abcd.root_leaf()}
     while frontier:
         tree = frontier.pop()
-        for grown in canonical_unit_extensions(tree, abcd):
-            if grown not in reached:
+        for site in extension_sites(tree, abcd):
+            grown = apply_extension(tree, site)
+            if is_canonical_incremental(grown, site) and grown not in reached:
                 reached.add(grown)
                 frontier.append(grown)
     expected = {t for t in enumerate_all(abcd) if is_canonical(t)}
