@@ -16,7 +16,7 @@ plain-text formats for all of them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence
@@ -50,14 +50,10 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 @dataclass(frozen=True, eq=False)
 class TypeSymbol:
-    """A component type; `rank` is its position in the total type order.
-    Equal symbols agree in name and rank; the hash is computed once."""
+    """A component type; `rank` is its position in the total type order."""
 
     name: str
     rank: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.name, self.rank)))
 
     def __eq__(self, other: object) -> bool:
         return self is other or (
@@ -65,11 +61,7 @@ class TypeSymbol:
         )
 
     def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        # String hashes differ between processes: rebuild, never unpickle, `_hash`.
-        return TypeSymbol, (self.name, self.rank)
+        return hash((self.name, self.rank))
 
     def __str__(self) -> str:
         return self.name
@@ -262,9 +254,8 @@ class TTree:
     `groups` holds one `(component type, T-list)` pair per component type
     that actually has children, in increasing type rank; empty T-lists are
     implicit.  Every member of a T-list is labeled with the group's type.
-    Instances are immutable and compare structurally; the structural hash
-    is computed once at construction (subtree hashes are reused, keeping
-    tree-heavy workloads like enumeration cheap).
+    Instances are immutable and compare structurally.  No hash is stored;
+    `hash()` renders the tree, so it costs O(n) per call.
 
     Prefer `ttree()` (which groups arbitrary child sequences) or
     `parse_ttree()` to the raw constructor.  Both check their input; the
@@ -274,7 +265,6 @@ class TTree:
 
     label: TypeSymbol
     groups: Groups = ()
-    _hash: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         last_rank = -1
@@ -289,13 +279,12 @@ class TTree:
                     raise ValueError(
                         f"T-list of {symbol.name} contains a {member.label.name} subtree"
                     )
-        object.__setattr__(self, "_hash", hash((self.label, self.groups)))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(render_ttree(self))  # equal trees render alike
 
     def __reduce__(self) -> tuple:
-        return TTree, (self.label, self.groups)  # see TypeSymbol.__reduce__
+        return TTree, (self.label, self.groups)  # rebuilt by the checked constructor
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TTree):
@@ -304,7 +293,7 @@ class TTree:
         while pairs:
             a, b = pairs.pop()
             if a is not b:
-                if a._hash != b._hash or a.label != b.label or len(a.groups) != len(b.groups):
+                if a.label != b.label or len(a.groups) != len(b.groups):
                     return False
                 for (ta, la), (tb, lb) in zip(a.groups, b.groups):
                     if ta != tb or len(la) != len(lb):
@@ -342,12 +331,11 @@ _set_attribute = object.__setattr__
 
 
 def _trusted_ttree(label: TypeSymbol, groups: Groups = ()) -> TTree:
-    """A `TTree` whose groups are known to be valid, built without the
-    checks of the public constructor."""
+    """A `TTree` whose groups are known to be valid: the public
+    constructor's checks are skipped, and nothing is computed."""
     tree = _new_object(TTree)
     _set_attribute(tree, "label", label)
     _set_attribute(tree, "groups", groups)
-    _set_attribute(tree, "_hash", hash((label, groups)))
     return tree
 
 

@@ -24,6 +24,7 @@ from .core import StructuralProblem
 
 
 _CHUNK = 10**1000  # 1000 digits, under the interpreter's int-to-str limit
+_MAX_DIGITS = 1_000_000  # longer counts take from seconds to hours of big-integer work
 
 
 def _decimal(n: int) -> str:
@@ -43,9 +44,34 @@ def _validate(depth: int, branch: int) -> None:
         raise ValueError(f"branching must be >= 1, got {branch}")
 
 
+def _digit_bounds(depth: int, branch: int) -> tuple[float, float]:
+    """Upper bounds on the digit counts of N(depth, branch) and M(depth,
+    branch), from float logarithms (inf once both overflow):
+    N(p) <= (k+1) N(p-1)^k, and N(p) <= X^k X/(X-1) for X >= N(p-1) >= 2;
+    M(p) <= (M(p-1)+k)^k / k!; and M <= N."""
+    k, n, m = branch, 0.0, 0.0  # bounds on log10 N(p) and log10 M(p)
+    for _ in range(depth):
+        n = k * n + (math.log10(k + 1) if n == 0 else -math.log10(1 - 10.0**-n))
+        m = min(n, k * (m + math.log10(1 + k * 10.0**-m)) - math.lgamma(k + 1) / math.log(10))
+        if m == math.inf:
+            break
+    return n + 1, m + 1
+
+
+def _refuse_huge(name: str, depth: int, branch: int) -> None:
+    bound = _digit_bounds(depth, branch)[name == "M"]
+    if bound > _MAX_DIGITS:
+        raise ValueError(
+            f"{name}({depth}, {branch}) is too large to count exactly: its digit "
+            f"bound {bound:.4g} exceeds the limit of {_MAX_DIGITS} digits"
+        )
+
+
 def count_all(depth: int, branch: int) -> int:
-    """N(depth, branch): all T-trees of the chain problem, exactly."""
+    """N(depth, branch): all T-trees of the chain problem, exactly.
+    Raises ValueError when it may have more than `_MAX_DIGITS` digits."""
     _validate(depth, branch)
+    _refuse_huge("N", depth, branch)
     n = 1
     for _ in range(depth):
         n = sum(n**i for i in range(branch + 1))
@@ -53,8 +79,10 @@ def count_all(depth: int, branch: int) -> int:
 
 
 def count_canonical(depth: int, branch: int) -> int:
-    """M(depth, branch): canonical T-trees of the chain problem, exactly."""
+    """M(depth, branch): canonical T-trees of the chain problem, exactly.
+    Raises ValueError when it may have more than `_MAX_DIGITS` digits."""
     _validate(depth, branch)
+    _refuse_huge("M", depth, branch)
     m = 1
     for _ in range(depth):
         m = math.comb(m + branch, branch)
@@ -166,6 +194,7 @@ def comparison_table(p_max: int, k_max: int) -> CountTable:
     """Exact N/M grid for 1 <= p <= p_max, 1 <= k <= k_max."""
     if p_max < 1 or k_max < 1:
         raise ValueError("table needs p_max >= 1 and k_max >= 1")
+    _refuse_huge("N", p_max, k_max)  # the largest count of the grid
     totals = tuple(
         tuple(count_all(p, k) for k in range(1, k_max + 1))
         for p in range(1, p_max + 1)

@@ -16,6 +16,7 @@ tree-shaped configurations.
 from __future__ import annotations
 
 from enum import Enum
+from operator import is_
 from typing import Iterator
 
 from .core import TTree, _levels, _trusted_ttree
@@ -164,14 +165,14 @@ def canonicalize(tree: TTree) -> TTree:
     for level, _, below in _class_codes([tree]):
         canonical, start = [], 0
         for node in level:
-            groups = []
+            groups, same = [], True
             for symbol, members in node.groups:
                 end = start + len(members)
                 order = sorted(range(start, end), key=below.__getitem__)
                 groups.append((symbol, tuple([canonical_below[i] for i in order])))
+                same = same and all(map(is_, groups[-1][1], members))
                 start = end
-            groups = tuple(groups)
-            canonical.append(node if groups == node.groups else _trusted_ttree(node.label, groups))
+            canonical.append(node if same else _trusted_ttree(node.label, tuple(groups)))
         canonical_below = canonical
     return canonical_below[0]
 

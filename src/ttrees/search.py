@@ -104,8 +104,8 @@ def apply_extension(tree: TTree, site: ExtensionSite) -> TTree:
 
 
 def unit_extensions(tree: TTree, problem: StructuralProblem) -> list[TTree]:
-    """All distinct T-trees obtained by adding one leaf to `tree`."""
-    return list(dict.fromkeys(apply_extension(tree, s) for s in extension_sites(tree, problem)))
+    """Every T-tree obtained by adding one leaf to `tree`, one per site."""
+    return [apply_extension(tree, s) for s in extension_sites(tree, problem)]
 
 
 def is_canonical_incremental(tree: TTree, site: ExtensionSite) -> bool:

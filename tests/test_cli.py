@@ -1,18 +1,28 @@
 from __future__ import annotations
 
 import math
+import time
 from functools import cmp_to_key
 
 import pytest
 
 from ttrees import (
+    TTree,
+    canonical_removal,
+    canonicalize,
     chain_problem,
     compare,
     count_canonical,
+    enumerate_all,
+    enumerate_canonical,
+    isomorphic,
     parse_problem,
+    parse_ttree,
     parse_ttrees,
     render_problem,
+    render_ttree,
     TreeOrdering,
+    unit_extensions,
 )
 from ttrees import cli
 from ttrees.cli import run
@@ -53,6 +63,18 @@ def test_count_with_approximation(capsys):
 def test_count_rejects_bad_arguments(capsys):
     assert run(["count", "--depth", "-1", "--branch", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_huge_counts_are_refused_up_front(capsys):
+    for argv in (["count", "--depth", "9", "--branch", "9"],
+                 ["table", "--pmax", "9", "--kmax", "9"]):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "exceeds the limit of 1000000 digits" in captured.err
+        assert elapsed < 1, f"{argv[0]} took {elapsed:.2f}s, budget 1s"
 
 
 def test_table_text_and_flags(capsys):
@@ -339,3 +361,50 @@ def test_removal_of_deep_path_tree(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == f"A({_path(99_999)})\n"
     assert captured.err == ""
+
+
+def _tree_outputs(tmp_path, capsys):
+    """What the tree commands print and the tree functions return, as text."""
+    abcd, cyclic = tmp_path / "abcd.prob", tmp_path / "cyclic.prob"
+    abcd.write_text(ABCD_PROBLEM)
+    cyclic.write_text(CYCLIC_PROBLEM)
+    config = tmp_path / "pc.cfg"
+    config.write_text(PC_CONFIG)
+    with_abcd = ["--problem", str(abcd)]
+    outputs = []
+    for argv in [
+        ["enum", str(abcd)],
+        ["enum", str(abcd), "--canonical"],
+        ["enum", str(cyclic), "--sorted", "--max-depth", "3"],
+        ["check", *with_abcd, "A(B(D),B,C)"],
+        ["canon", *with_abcd, "A(B(D),B,C)"],
+        ["iso", *with_abcd, "A(B(D),B,C)", "A(C,B,B(D))"],
+        ["removal", *with_abcd, "A(B,B(D),C)"],
+        ["roundtrip", str(config)],
+    ]:
+        outputs.append((run(argv), *capsys.readouterr()))
+    problem = parse_problem(ABCD_PROBLEM)
+    tree = parse_ttree("A(B(D),B,C)", problem)
+    outputs += [
+        [render_ttree(t) for t in enumerate_all(problem)],
+        [render_ttree(t) for t in enumerate_canonical(problem)],
+        render_ttree(canonicalize(tree)),
+        isomorphic(tree, parse_ttree("A(C,B,B(D))", problem)),
+        render_ttree(canonical_removal(tree)),
+        [render_ttree(t) for t in unit_extensions(tree, problem)],
+    ]
+    return outputs
+
+
+def test_nothing_in_the_package_hashes_a_tree(tmp_path, capsys, monkeypatch):
+    # Trees keep no hash, so hashing one costs a full rendering.
+    expected = _tree_outputs(tmp_path, capsys)
+    assert [output[0] for output in expected[:8]] == [0, 0, 0, 1, 0, 0, 0, 0]
+
+    def refuse(tree):
+        raise TypeError("a tree was hashed")
+
+    monkeypatch.setattr(TTree, "__hash__", refuse)
+    with pytest.raises(TypeError, match="hashed"):
+        hash(parse_ttree("A(B)"))
+    assert _tree_outputs(tmp_path, capsys) == expected

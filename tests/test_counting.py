@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
 
@@ -13,6 +14,7 @@ from ttrees import (
     enumerate_all,
     render_problem,
 )
+from ttrees.counting import _decimal, _digit_bounds, _refuse_huge
 
 
 def test_base_cases():
@@ -72,6 +74,28 @@ def test_argument_validation():
         count_canonical(2, 0)
     with pytest.raises(ValueError):
         approx_canonical(0, 2)
+
+
+def test_huge_counts_are_refused_up_front():
+    for count in (count_all, count_canonical, approx_canonical, comparison_table):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"digit bound \S+ exceeds the limit of 1000000"):
+            count(9, 9)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1, f"{count.__name__} took {elapsed:.2f}s, budget 1s"
+    # N(8, 7) has 750 557 digits: under the limit, so it is not refused.
+    _refuse_huge("N", 8, 7)
+    _refuse_huge("M", 8, 7)
+
+
+def test_digit_bounds_hold():
+    for depth in range(8):
+        for branch in range(1, 8):
+            n_bound, m_bound = _digit_bounds(depth, branch)
+            assert n_bound >= len(_decimal(count_all(depth, branch))), (depth, branch)
+            assert m_bound >= len(_decimal(count_canonical(depth, branch))), (depth, branch)
+    # With one slot per node there are depth + 1 trees: 6 digits here.
+    assert max(_digit_bounds(10**5, 1)) < 7
 
 
 def test_approximation_accuracy():

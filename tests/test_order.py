@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -239,3 +240,13 @@ def test_canonical_forms_of_deep_trees():
     assert canonicalize(b) is b
     assert isomorphic(a, b)
     assert not isomorphic(a, c)
+    # A path whose only T-list out of order is at the bottom: every node
+    # above it is rebuilt, and deciding which ones to reuse must not walk
+    # the subtrees again, level after level.
+    bottom = "A(" + "B(" * depth + "B(B),B" + ")" * (depth + 1)
+    tree = parse_ttree(bottom, problem)
+    start = time.perf_counter()
+    canonical = canonicalize(tree)
+    elapsed = time.perf_counter() - start
+    assert render_ttree(canonical) == "A(" + "B(" * depth + "B,B(B)" + ")" * (depth + 1)
+    assert elapsed < 2, f"took {elapsed:.2f}s, budget 2s"

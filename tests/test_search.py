@@ -110,16 +110,22 @@ def test_removal_of_single_node_fails(abcd):
 
 
 def test_removal_properties_on_corpus():
-    problem = chain_problem(2, 3)
-    for tree in enumerate_all(problem):
-        if tree.is_leaf:
-            continue
-        shrunk = canonical_removal(tree)
-        assert shrunk.node_count == tree.node_count - 1
-        assert compare(shrunk, tree) is not TreeOrdering.GREATER
-        if is_canonical(tree):
-            assert is_canonical(shrunk)
-            assert tree in unit_extensions(shrunk, problem)
+    # 451 trees.  Distinct sites give distinct trees: a leaf is appended,
+    # so old nodes keep their positions, and at the deeper of two grown
+    # nodes only one of the two trees has grown.
+    corpora = [(chain_problem(2, 3), None), (chain_problem(3, 2), None), (cyclic_problem(), 3)]
+    for problem, max_height in corpora:
+        for tree in enumerate_all(problem, max_height=max_height):
+            grown = unit_extensions(tree, problem)
+            assert len(set(grown)) == len(grown), render_ttree(tree)
+            if tree.is_leaf:
+                continue
+            shrunk = canonical_removal(tree)
+            assert shrunk.node_count == tree.node_count - 1
+            assert compare(shrunk, tree) is not TreeOrdering.GREATER
+            if is_canonical(tree):
+                assert is_canonical(shrunk)
+                assert tree in unit_extensions(shrunk, problem)
 
 
 def test_enumerate_all_counts():
