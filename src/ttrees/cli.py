@@ -9,6 +9,7 @@ unexpected exception, reported with its traceback on stderr).
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import traceback
 from functools import cmp_to_key
@@ -203,6 +204,10 @@ _COMMANDS = {
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one command; returns the process exit status."""
     args = _build_parser().parse_args(argv)
+    # What a command builds is acyclic, so reference counting frees all of
+    # it; cyclic collector passes would only walk its live trees again.
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError) as exc:
@@ -212,6 +217,9 @@ def run(argv: Sequence[str] | None = None) -> int:
         traceback.print_exc()
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def main() -> None:

@@ -16,8 +16,8 @@ plain-text formats for all of them.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -511,36 +511,56 @@ def ttree_conforms(tree: TTree, problem: StructuralProblem) -> bool:
 class ConfigTree:
     """A configuration: a rooted tree of typed objects.
 
-    `types` maps each object id to its type and `links` maps each object
-    id to its children, both as sorted tuples so that equality and hashing
-    are structural.  Children are ordered by (component type rank, object
-    id).  Use `make_config` / `parse_config` to build validated instances.
+    Objects are stored by *position*, their index in `ids`, the object ids
+    in ascending order.  The object at position p has type `labels[p]` and
+    the child positions `children[p]`, ordered by (component type rank,
+    object id); the root is at `root_position`.  Equality and hashing are
+    structural.  `root`, `objects`, `types` and `links` (one pair per
+    object, by ascending id), `node_type` and `children_of` speak in object
+    ids.  Use `make_config` / `parse_config` to build validated instances.
     """
 
-    root: int
-    types: tuple[tuple[int, TypeSymbol], ...]
-    links: tuple[tuple[int, tuple[int, ...]], ...]
+    ids: tuple[int, ...]
+    labels: tuple[TypeSymbol, ...]
+    children: tuple[tuple[int, ...], ...]
+    root_position: int
 
-    @cached_property
-    def _type_map(self) -> dict[int, TypeSymbol]:
-        return dict(self.types)
-
-    @cached_property
-    def _child_map(self) -> dict[int, tuple[int, ...]]:
-        return dict(self.links)
+    @property
+    def root(self) -> int:
+        return self.ids[self.root_position]
 
     @property
     def objects(self) -> tuple[int, ...]:
-        return tuple(obj for obj, _ in self.types)
+        return self.ids
+
+    @property
+    def types(self) -> tuple[tuple[int, TypeSymbol], ...]:
+        return tuple(zip(self.ids, self.labels))
+
+    @property
+    def links(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        ids = self.ids
+        return tuple([(obj, tuple([ids[c] for c in cs])) for obj, cs in zip(ids, self.children)])
+
+    def _position(self, obj: int) -> int:
+        """The position of object `obj`, by bisection; KeyError if none."""
+        p = bisect_left(self.ids, obj)
+        if p == len(self.ids) or self.ids[p] != obj:
+            raise KeyError(obj)
+        return p
 
     def node_type(self, obj: int) -> TypeSymbol:
-        return self._type_map[obj]
+        return self.labels[self._position(obj)]
 
     def children_of(self, obj: int) -> tuple[int, ...]:
-        return self._child_map.get(obj, ())
+        """The child ids of object `obj`; () if there is no such object."""
+        try:
+            return tuple([self.ids[c] for c in self.children[self._position(obj)]])
+        except KeyError:
+            return ()
 
     def __repr__(self) -> str:
-        return f"<ConfigTree root={self.root} objects={len(self.types)}>"
+        return f"<ConfigTree root={self.root} objects={len(self.ids)}>"
 
 
 def make_config(
@@ -557,86 +577,86 @@ def make_config(
     declared relation within its cardinality bound; without one, the type
     order defaults to name order and relation checks are skipped.
     """
-    typed: dict[int, str] = {}
+    position: dict = {}  # id -> type name, then id -> position
     for obj, name in objects:
         if obj < 0:
             raise ConfigError(f"object ids must be naturals, got {obj}")
-        if obj in typed:
+        if obj in position:
             raise ConfigError(f"object {obj} declared twice")
-        typed[obj] = name
-    if not typed:
+        position[obj] = name
+    if not position:
         raise ConfigError("configuration has no objects")
 
     if problem is not None:
         symbols = problem._by_name
     else:
-        names = sorted(set(typed.values()))
+        names = sorted(set(position.values()))
         symbols = {name: TypeSymbol(name, rank) for rank, name in enumerate(names)}
+    ids = sorted(position)
     try:
-        symbol_of = {obj: symbols[name] for obj, name in typed.items()}
-    except KeyError as missing:
-        raise ConfigError(f"unknown type {missing.args[0]!r}") from None
+        labels = [symbols[position[obj]] for obj in ids]
+    except KeyError:
+        unknown = next(name for name in position.values() if name not in symbols)
+        raise ConfigError(f"unknown type {unknown!r}") from None
+    position.update(zip(ids, range(len(ids))))
 
-    parent: dict[int, int] = {}
-    children: dict[int, list[int]] = {obj: [] for obj in typed}
+    parent = [-1] * len(ids)
+    kids: list = [None] * len(ids)  # child positions in link order; None until one
     for source, target in links:
-        if source not in typed or target not in typed:
-            undeclared = target if source in typed else source
+        s, t = position.get(source), position.get(target)
+        if s is None or t is None:
+            undeclared = source if s is None else target
             raise ConfigError(f"link references undeclared object {undeclared}")
-        if target in parent:
+        if parent[t] >= 0:
             raise ConfigError(f"object {target} has two composites")
-        parent[target] = source
-        children[source].append(target)
+        parent[t] = s
+        if kids[s] is None:
+            kids[s] = [t]
+        else:
+            kids[s].append(t)
 
-    roots = [obj for obj in typed if obj not in parent]
-    if len(roots) != 1:
-        raise ConfigError(f"expected exactly one root object, found {len(roots)}")
-    root = roots[0]
-
+    if parent.count(-1) != 1:
+        raise ConfigError(f"expected exactly one root object, found {parent.count(-1)}")
+    root = parent.index(-1)
     # Every object but the root has one parent, so this visits each
     # object reachable from the root exactly once.
     reached = [root]
-    for obj in reached:
-        reached.extend(children[obj])
-    if len(reached) != len(typed):
-        missing = sorted(set(typed) - set(reached))
-        raise ConfigError(f"objects not reachable from the root: {missing}")
+    for p in reached:
+        reached.extend(kids[p] or ())
+    if len(reached) != len(ids):
+        missing = sorted(set(range(len(ids))).difference(reached))
+        raise ConfigError(f"objects not reachable from the root: {[ids[p] for p in missing]}")
 
+    ranks = [label.rank for label in labels]
     if problem is not None:
-        if symbol_of[root] != problem.root_type:
+        if labels[root] != problem.root_type:
             raise ConfigError(
                 f"root object must have type {problem.root_type.name!r}, "
-                f"got {symbol_of[root].name!r}"
+                f"got {labels[root].name!r}"
             )
-        schemas = problem._schemas
-        for obj, kids in children.items():
-            per_type: dict[str, int] = {}
-            for child in kids:
-                name = typed[child]
-                schema = schemas.get((typed[obj], name))
-                if schema is None:
-                    raise ConfigError(
-                        f"no relation allows a {name} inside "
-                        f"a {typed[obj]} (objects {obj} -> {child})"
-                    )
-                per_type[name] = count = per_type.get(name, 0) + 1
-                if count > schema.max_cardinality:
-                    raise ConfigError(
-                        f"object {obj} exceeds max cardinality "
-                        f"{schema.max_cardinality} for {name}"
-                    )
+        width = len(problem.types)
+        maxima = [[0] * width for _ in range(width)]  # by composite and component rank
+        for schema in problem.relations:
+            maxima[schema.composite.rank][schema.component.rank] = schema.max_cardinality
+        for obj, p in position.items():  # objects in input order, children in link order
+            allowed, seen = maxima[ranks[p]], [0] * width
+            for c in kids[p] or ():
+                seen[ranks[c]] += 1
+                if seen[ranks[c]] > allowed[ranks[c]]:
+                    name, bound = labels[c].name, allowed[ranks[c]]
+                    if not bound:
+                        raise ConfigError(
+                            f"no relation allows a {name} inside "
+                            f"a {labels[p].name} (objects {obj} -> {ids[c]})"
+                        )
+                    raise ConfigError(f"object {obj} exceeds max cardinality {bound} for {name}")
 
-    rank_of = {obj: symbol.rank for obj, symbol in symbol_of.items()}
-    for kids in children.values():
-        if len(kids) > 1:
-            kids.sort()
-            kids.sort(key=rank_of.__getitem__)  # stable: by (rank, id)
-    ids = sorted(typed)
-    return ConfigTree(
-        root=root,
-        types=tuple([(obj, symbol_of[obj]) for obj in ids]),
-        links=tuple([(obj, tuple(children[obj])) for obj in ids]),
-    )
+    for below in kids:
+        if below:
+            below.sort()  # positions ascend with ids
+            below.sort(key=ranks.__getitem__)  # stable: by (rank, id)
+    children = tuple([tuple(below) if below else () for below in kids])
+    return ConfigTree(tuple(ids), tuple(labels), children, root)
 
 
 def parse_config(text: str, problem: StructuralProblem | None = None) -> ConfigTree:
@@ -671,25 +691,26 @@ def parse_config(text: str, problem: StructuralProblem | None = None) -> ConfigT
 
 def config_to_ttree(config: ConfigTree) -> TTree:
     """Erase object identities, keeping types and child order."""
-    type_of, children_of = config._type_map, config._child_map
-    order = [config.root]  # breadth-first, so each node's children are contiguous
-    sizes = []
-    for obj in order:
-        kids = children_of.get(obj, ())
-        sizes.append(len(kids))
-        order.extend(kids)
-        if len(order) > len(type_of):
-            raise ConfigError("links do not form a tree; build configurations with make_config")
-    leaves = {label: _trusted_ttree(label) for label in set(type_of.values())}
-    trees: list = [None] * len(order)
-    end = len(order)  # the children of node i end where those of i + 1 start
-    for i in range(len(order) - 1, -1, -1):
-        size = sizes[i]
+    labels, children = config.labels, config.children
+    n = len(labels)
+    order = [config.root_position]  # breadth-first, so each node's children are contiguous
+    for p in islice(order, n):
+        order.extend(children[p])
+    if len(order) != n:
+        raise ConfigError("links do not form a tree; build configurations with make_config")
+    trees: list = [None] * n
+    end = n  # the children of node i end where those of i + 1 start
+    leaf = None
+    for i in range(n - 1, -1, -1):
+        p = order[i]
+        size = len(children[p])
         if size:
-            trees[i] = _trusted_ttree(type_of[order[i]], _group(trees[end - size : end]))
+            trees[i] = _trusted_ttree(labels[p], _group(trees[end - size : end]))
             end -= size
         else:
-            trees[i] = leaves[type_of[order[i]]]
+            if leaf is None or leaf.label is not labels[p]:
+                leaf = _trusted_ttree(labels[p])  # shared by runs of equal leaves
+            trees[i] = leaf
     return trees[0]
 
 
@@ -697,15 +718,12 @@ def ttree_to_config(tree: TTree) -> ConfigTree:
     """Materialize a T-tree as a configuration with breadth-first object
     ids: the root is 0 and children are numbered in type order then list
     order, so the result is the same for any two equal T-trees."""
-    order = [tree]  # breadth-first; a node's object id is its index
-    links = []
-    for obj, node in enumerate(order):
+    order = [tree]  # breadth-first; a node's object id is its position
+    children = []
+    for node in order:
         first = len(order)
         for _, members in node.groups:
             order.extend(members)
-        links.append((obj, tuple(range(first, len(order)))))
-    return ConfigTree(
-        root=0,
-        types=tuple(enumerate([node.label for node in order])),
-        links=tuple(links),
-    )
+        children.append(tuple(range(first, len(order))))
+    labels = tuple([node.label for node in order])
+    return ConfigTree(tuple(range(len(order))), labels, tuple(children), 0)

@@ -46,15 +46,17 @@ def _validate(depth: int, branch: int) -> None:
 
 def _digit_bounds(depth: int, branch: int) -> tuple[float, float]:
     """Upper bounds on the digit counts of N(depth, branch) and M(depth,
-    branch), from float logarithms (inf once both overflow):
-    N(p) <= (k+1) N(p-1)^k, and N(p) <= X^k X/(X-1) for X >= N(p-1) >= 2;
-    M(p) <= (M(p-1)+k)^k / k!; and M <= N."""
-    k, n, m = branch, 0.0, 0.0  # bounds on log10 N(p) and log10 M(p)
-    for _ in range(depth):
-        n = k * n + (math.log10(k + 1) if n == 0 else -math.log10(1 - 10.0**-n))
+    branch), from float logarithms (inf once both overflow): N(1) = M(1) =
+    k+1; N(p) <= X^k X/(X-1) for X >= N(p-1) >= 2; M(p) <= (M(p-1)+k)^k / k!;
+    and M <= N.  A k past float range makes both inf from depth 2 on, as
+    M(2) >= 2^k."""
+    k = branch
+    n = m = math.log10(k + 1) if depth else 0.0  # log10 takes an int of any size
+    for _ in range(depth - 1):
+        if k > 1e300 or m == math.inf:
+            return math.inf, math.inf
+        n = k * n - math.log10(1 - 10.0**-n)
         m = min(n, k * (m + math.log10(1 + k * 10.0**-m)) - math.lgamma(k + 1) / math.log(10))
-        if m == math.inf:
-            break
     return n + 1, m + 1
 
 
@@ -73,8 +75,8 @@ def count_all(depth: int, branch: int) -> int:
     _validate(depth, branch)
     _refuse_huge("N", depth, branch)
     n = 1
-    for _ in range(depth):
-        n = sum(n**i for i in range(branch + 1))
+    for _ in range(depth):  # the sum of n^i for i in 0..branch
+        n = branch + 1 if n == 1 else (n ** (branch + 1) - 1) // (n - 1)
     return n
 
 
@@ -101,7 +103,7 @@ def approx_canonical(depth: int, branch: int) -> float:
         raise ValueError("approximation needs depth >= 1")
     m = count_canonical(depth - 1, branch)
     k = branch
-    if m > 1e300:
+    if m > 1e300 or k > 1e300:
         return math.inf
     # (m+k+0.5)ln(m+k) - (m+0.5)ln(m) rewritten as
     # (m+0.5)ln(1+k/m) + k*ln(m+k) to avoid cancellation for large m

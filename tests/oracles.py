@@ -4,7 +4,8 @@ Nothing here reuses the code paths under test: enumeration is by direct
 product construction instead of graph search, ordering is by a nested
 tuple key instead of the recursive comparison, isomorphism classes are
 materialized by brute-force permutation, and isomorphism is decided by
-exhaustive matching instead of canonical forms.
+exhaustive matching instead of canonical forms.  Configurations are
+validated on dicts keyed by object id instead of dense positions.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import random
 from itertools import permutations, product, zip_longest
 
-from ttrees import StructuralProblem, TTree, TypeSymbol, ttree
+from ttrees import ConfigError, StructuralProblem, TTree, TypeSymbol, UnknownTypeError, ttree
 
 
 def all_conforming_trees(
@@ -188,3 +189,94 @@ def random_tree(problem: StructuralProblem, size: int, rng: random.Random) -> TT
         return ttree(node["sym"], children)
 
     return freeze(0)
+
+
+def make_config_oracle(objects, links, problem: StructuralProblem | None = None):
+    """`(root, types, links)` of the configuration, as `ConfigTree.root`,
+    `.types` and `.links` give them, or the `ConfigError` that
+    `make_config` must raise: the same checks in the same order, on
+    dicts keyed by object id."""
+    typed: dict[int, str] = {}
+    for obj, name in objects:
+        if obj < 0:
+            raise ConfigError(f"object ids must be naturals, got {obj}")
+        if obj in typed:
+            raise ConfigError(f"object {obj} declared twice")
+        typed[obj] = name
+    if not typed:
+        raise ConfigError("configuration has no objects")
+
+    symbol_of: dict[int, TypeSymbol] = {}
+    if problem is None:
+        names = sorted(set(typed.values()))
+        symbols = {name: TypeSymbol(name, rank) for rank, name in enumerate(names)}
+    for obj, name in typed.items():
+        try:
+            symbol_of[obj] = problem.type(name) if problem else symbols[name]
+        except (KeyError, UnknownTypeError):
+            raise ConfigError(f"unknown type {name!r}") from None
+
+    parent: dict[int, int] = {}
+    children: dict[int, list[int]] = {obj: [] for obj in typed}
+    for source, target in links:
+        if source not in typed or target not in typed:
+            undeclared = target if source in typed else source
+            raise ConfigError(f"link references undeclared object {undeclared}")
+        if target in parent:
+            raise ConfigError(f"object {target} has two composites")
+        parent[target] = source
+        children[source].append(target)
+
+    roots = [obj for obj in typed if obj not in parent]
+    if len(roots) != 1:
+        raise ConfigError(f"expected exactly one root object, found {len(roots)}")
+    root = roots[0]
+    reached = [root]
+    for obj in reached:
+        reached.extend(children[obj])
+    if len(reached) != len(typed):
+        missing = sorted(set(typed) - set(reached))
+        raise ConfigError(f"objects not reachable from the root: {missing}")
+
+    if problem is not None:
+        if symbol_of[root] != problem.root_type:
+            raise ConfigError(
+                f"root object must have type {problem.root_type.name!r}, "
+                f"got {symbol_of[root].name!r}"
+            )
+        for obj, kids in children.items():
+            per_type: dict[str, int] = {}
+            for child in kids:
+                name = typed[child]
+                schema = problem.schema(symbol_of[obj], symbol_of[child])
+                if schema is None:
+                    raise ConfigError(
+                        f"no relation allows a {name} inside "
+                        f"a {typed[obj]} (objects {obj} -> {child})"
+                    )
+                per_type[name] = count = per_type.get(name, 0) + 1
+                if count > schema.max_cardinality:
+                    raise ConfigError(
+                        f"object {obj} exceeds max cardinality "
+                        f"{schema.max_cardinality} for {name}"
+                    )
+
+    ids = sorted(typed)
+    for kids in children.values():
+        kids.sort(key=lambda child: (symbol_of[child].rank, child))
+    return (
+        root,
+        tuple((obj, symbol_of[obj]) for obj in ids),
+        tuple((obj, tuple(children[obj])) for obj in ids),
+    )
+
+
+def config_tree_oracle(root: int, types, links) -> TTree:
+    """The T-tree of a configuration given as `make_config_oracle`
+    returns it, built by `ttree()` from each object's children."""
+    type_of, children_of = dict(types), dict(links)
+
+    def build(obj: int) -> TTree:
+        return ttree(type_of[obj], [build(child) for child in children_of[obj]])
+
+    return build(root)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import time
 from functools import cmp_to_key
@@ -75,6 +76,21 @@ def test_huge_counts_are_refused_up_front(capsys):
         assert captured.out == ""
         assert "exceeds the limit of 1000000 digits" in captured.err
         assert elapsed < 1, f"{argv[0]} took {elapsed:.2f}s, budget 1s"
+
+
+def test_count_with_branching_past_float_range(capsys):
+    branch = "1" + "0" * 400
+    assert run(["count", "--depth", "1", "--branch", branch]) == 0
+    digits = str(10**400 + 1)
+    assert capsys.readouterr().out == f"N={digits} M={digits}\n"
+    assert run(["count", "--depth", "1", "--branch", branch, "--approx"]) == 0
+    assert capsys.readouterr().out == f"N={digits} M={digits} approx=inf\n"
+    assert run(["count", "--depth", "2", "--branch", branch]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds the limit of 1000000 digits" in captured.err
+    assert run(["count", "--depth", "0", "--branch", branch]) == 0
+    assert capsys.readouterr().out == "N=1 M=1\n"
 
 
 def test_table_text_and_flags(capsys):
@@ -291,6 +307,30 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     assert run(["canon", "A"]) == 3
     err = capsys.readouterr().err
     assert "internal error: RuntimeError: boom" in err
+
+
+def test_collector_is_paused_during_a_command_and_restored(tmp_path, monkeypatch, capsys):
+    good, bad = tmp_path / "pc.cfg", tmp_path / "bad.cfg"
+    good.write_text(PC_CONFIG)
+    bad.write_text("obj 0 PC\nlink 0 1\n")
+    seen = []
+
+    def crash(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "canon", crash)
+    calls = [(["roundtrip", str(good)], 0), (["roundtrip", str(bad)], 2), (["canon", "A"], 3)]
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for argv, code in calls:
+                assert run(argv) == code
+                assert gc.isenabled() is enabled, (argv, enabled)
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert seen == [False, False]
 
 
 def test_usage_error_exits_2():

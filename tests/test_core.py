@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import os
 import random
 import subprocess
@@ -368,6 +369,27 @@ def test_config_validation_errors(pc):
         )
     with pytest.raises(ConfigError, match="unknown type"):
         make_config([(0, "Spaceship")], [], pc)
+
+
+def test_config_stores_positions_and_answers_in_ids(pc):
+    cfg = parse_config(PC_CONFIG, pc)
+    assert cfg.ids == cfg.objects == tuple(range(1, 9))
+    assert cfg.root_position == 0 and cfg.root == 1
+    assert cfg.children[3] == (4, 5, 6, 7)  # positions of objects 5..8
+    assert cfg.children_of(4) == (5, 6, 7, 8)
+    assert cfg.node_type(8).name == "HDisk"
+    assert cfg.children_of(99) == ()
+    with pytest.raises(KeyError):
+        cfg.node_type(99)
+
+
+def test_hand_built_config_that_is_no_tree_is_refused(pc):
+    cfg = parse_config(PC_CONFIG, pc)
+    cycle = cfg.children[:4] + ((0,),) + cfg.children[5:]  # a Processor holds the PC
+    unreachable = ((1, 2),) + cfg.children[1:]  # the Mainboard is cut off
+    for children in (cycle, unreachable):
+        with pytest.raises(ConfigError, match="do not form a tree"):
+            config_to_ttree(dataclasses.replace(cfg, children=children))
 
 
 def test_config_line_diagnostics():

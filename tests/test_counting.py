@@ -88,6 +88,21 @@ def test_huge_counts_are_refused_up_front():
     _refuse_huge("M", 8, 7)
 
 
+def test_branching_past_float_range():
+    # k = 10^400 is past float range: N(1) = M(1) = k + 1 is counted
+    # exactly, at once; N(2) and M(2) are refused; depth 0 stays 1.
+    k = 10**400
+    start = time.perf_counter()
+    assert count_all(1, k) == count_canonical(1, k) == k + 1
+    assert approx_canonical(1, k) == approx_canonical(2, k) == math.inf
+    assert count_all(0, k) == count_canonical(0, k) == 1
+    for count in (count_all, count_canonical):
+        with pytest.raises(ValueError, match=r"digit bound inf exceeds the limit"):
+            count(2, k)
+    assert time.perf_counter() - start < 1
+    assert _digit_bounds(1, k) == (401.0, 401.0)
+
+
 def test_digit_bounds_hold():
     for depth in range(8):
         for branch in range(1, 8):
