@@ -327,15 +327,16 @@ class TTree:
 
 
 _new_object = object.__new__
-_set_attribute = object.__setattr__
+_set_label = TTree.label.__set__  # the slot descriptors skip the frozen __setattr__
+_set_groups = TTree.groups.__set__
 
 
 def _trusted_ttree(label: TypeSymbol, groups: Groups = ()) -> TTree:
     """A `TTree` whose groups are known to be valid: the public
     constructor's checks are skipped, and nothing is computed."""
     tree = _new_object(TTree)
-    _set_attribute(tree, "label", label)
-    _set_attribute(tree, "groups", groups)
+    _set_label(tree, label)
+    _set_groups(tree, groups)
     return tree
 
 

@@ -49,8 +49,10 @@ def _digit_bounds(depth: int, branch: int) -> tuple[float, float]:
     branch), from float logarithms (inf once both overflow): N(1) = M(1) =
     k+1; N(p) <= X^k X/(X-1) for X >= N(p-1) >= 2; M(p) <= (M(p-1)+k)^k / k!;
     and M <= N.  A k past float range makes both inf from depth 2 on, as
-    M(2) >= 2^k."""
+    M(2) >= 2^k.  With k = 1, N = M = depth + 1."""
     k = branch
+    if k == 1:
+        return (math.log10(depth + 1) + 1,) * 2
     n = m = math.log10(k + 1) if depth else 0.0  # log10 takes an int of any size
     for _ in range(depth - 1):
         if k > 1e300 or m == math.inf:
@@ -74,6 +76,8 @@ def count_all(depth: int, branch: int) -> int:
     Raises ValueError when it may have more than `_MAX_DIGITS` digits."""
     _validate(depth, branch)
     _refuse_huge("N", depth, branch)
+    if branch == 1:  # a path of up to depth nodes below the root
+        return depth + 1
     n = 1
     for _ in range(depth):  # the sum of n^i for i in 0..branch
         n = branch + 1 if n == 1 else (n ** (branch + 1) - 1) // (n - 1)
@@ -85,6 +89,8 @@ def count_canonical(depth: int, branch: int) -> int:
     Raises ValueError when it may have more than `_MAX_DIGITS` digits."""
     _validate(depth, branch)
     _refuse_huge("M", depth, branch)
+    if branch == 1:
+        return depth + 1
     m = 1
     for _ in range(depth):
         m = math.comb(m + branch, branch)
@@ -196,6 +202,11 @@ def comparison_table(p_max: int, k_max: int) -> CountTable:
     """Exact N/M grid for 1 <= p <= p_max, 1 <= k <= k_max."""
     if p_max < 1 or k_max < 1:
         raise ValueError("table needs p_max >= 1 and k_max >= 1")
+    if p_max * k_max > _MAX_DIGITS:
+        raise ValueError(
+            f"the {p_max} x {k_max} table has {p_max * k_max} cells of one digit or "
+            f"more, which exceeds the limit of {_MAX_DIGITS} digits"
+        )
     _refuse_huge("N", p_max, k_max)  # the largest count of the grid
     totals = tuple(
         tuple(count_all(p, k) for k in range(1, k_max + 1))

@@ -9,14 +9,15 @@ one depth-first walk of that tree, which emits each tree exactly once and
 keeps no visited set; its memory is the pending children along one
 root-to-tree chain.
 
-A tree's children are found on its removal spine alone (`_children`):
-each spine node is grown in place and only the spine above it is rebuilt,
-bottom up.  The removal keeps canonical trees canonical, so the canonical
-trees are a subtree of the same walk; `enumerate_canonical` drops a child
-as soon as a rebuilt member passes its right neighbour, before the level
-above is built (canonical augmentation, McKay 1998).  So every emitted
-child is built once and a rejected child is never finished.  Each tree's
-printed line is carried along: its parent's line plus one piece.
+A tree's children are found on its removal spine alone (`_children`): the
+path through the first non-leaf member of each first T-list, and the
+leaves left of it.  Each is grown in place and only the path above it is
+rebuilt, bottom up.  The removal keeps canonical trees canonical, so the
+canonical trees are a subtree of the same walk; `enumerate_canonical`
+drops a child as soon as a rebuilt member passes its right neighbour,
+before the level above is built (canonical augmentation, McKay 1998).  So
+every emitted child is built once and a rejected child is never finished.
+Each tree's line is carried along: its parent's line plus one piece.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import Iterator
 from .core import StructuralProblem, TTree, TypeSymbol, _trusted_ttree
 from .order import _compare, TreeOrdering
 
+_EQUAL = TreeOrdering.EQUAL
 _GREATER = TreeOrdering.GREATER
 
 
@@ -176,23 +178,28 @@ def _children(
     """The children of `tree`, whose line is `line`, each with its line;
     with `canonical`, the canonical children of a canonical `tree`.
 
-    A child's removal must end at its new leaf, so the walk steps only into
-    a node's first T-list, to its leaves and first non-leaf member, and
-    grows a T-list that is or becomes the first and holds only leaves.
-    Every member left of a spine node is a leaf of one type, which places
-    the new text.  A member equal to its right neighbour would pass it when
-    grown, so the canonical walk never enters one.
+    A child's removal must end at its new leaf, so only the removal spine
+    grows: the path through the first non-leaf member `j` of each first
+    T-list, and the leaves left of each `j`, all of one type, which places
+    the new text.  A path node grows a T-list that is or becomes its first
+    and holds only leaves.  The path grows top down, then its leaves bottom
+    up, in descending index.  Canonically only the last leaf left of `j`
+    grows, as the others equal their right neighbours, and the path stops
+    at a member equal to its right neighbour, which would pass it when
+    grown.
     """
     found = []
-    spine = [(tree, 0, 0, None)]  # node, depth, offset of its text, trail
-    while spine:
-        node, depth, at, trail = spine.pop()
+    levels = []  # path nodes whose leaves grow: node, leaf type, j, offset of "(", trail
+    node, depth, at, trail = tree, 0, 0, None
+    while True:
         label, groups = node.label, node.groups
         at += len(label.name)  # where "(" is or would go
         if groups:
             first_type, first = groups[0]
             rank, count = first_type.rank, len(first)
-            j = next((i for i, m in enumerate(first) if m.groups), count)
+            j = 0
+            while j < count and not first[j].groups:
+                j += 1
         if max_height is None or depth < max_height:
             for symbol, symbol_rank, cap, leaf, name in table[label.rank]:
                 if not groups:
@@ -207,13 +214,25 @@ def _children(
                 child = _rise(_trusted_ttree(label, grown), trail, canonical)
                 if child is not None:
                     found.append((child, line[:cut] + piece + line[cut:]))
-        if groups:
-            step = len(first_type.name) + 1
-            # Canonically, the leaves before j - 1 equal their right neighbours.
-            for i in range(max(j - 1, 0) if canonical else 0, min(j + 1, count)):
-                if canonical and i == j and i + 1 < count and first[i] == first[i + 1]:
-                    continue
-                spine.append((first[i], depth + 1, at + 1 + i * step, (node, 0, i, trail)))
+        if not groups:
+            break
+        if j and table[rank] and (max_height is None or depth + 1 < max_height):
+            levels.append((node, first_type, j, at, trail))
+        if j == count or (canonical and j + 1 < count
+                          and _compare(first[j], first[j + 1], None) is _EQUAL):
+            break
+        trail = (node, 0, j, trail)
+        node, depth, at = first[j], depth + 1, at + 1 + j * (len(first_type.name) + 1)
+    for node, leaf_type, j, at, trail in reversed(levels):
+        step = len(leaf_type.name) + 1
+        grown = [(_trusted_ttree(leaf_type, ((symbol, (leaf,)),)), "(" + name + ")")
+                 for symbol, _, _, leaf, name in table[leaf_type.rank]]
+        for i in range(j - 1, j - 2 if canonical else -1, -1):
+            cut = at + (i + 1) * step  # the end of leaf i's name
+            for leaf, piece in grown:
+                child = _rise(leaf, (node, 0, i, trail), canonical)
+                if child is not None:
+                    found.append((child, line[:cut] + piece + line[cut:]))
     return found
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import time
 from functools import cmp_to_key
@@ -67,8 +68,12 @@ def test_count_rejects_bad_arguments(capsys):
 
 
 def test_huge_counts_are_refused_up_front(capsys):
+    # A table prints a digit or more per cell, so a grid of more cells than
+    # the digit limit is refused before its first cell.
     for argv in (["count", "--depth", "9", "--branch", "9"],
-                 ["table", "--pmax", "9", "--kmax", "9"]):
+                 ["table", "--pmax", "9", "--kmax", "9"],
+                 ["table", "--pmax", "1", "--kmax", "1" + "0" * 30],
+                 ["table", "--pmax", "100000000", "--kmax", "1"]):
         start = time.perf_counter()
         assert run(argv) == 2
         elapsed = time.perf_counter() - start
@@ -76,6 +81,15 @@ def test_huge_counts_are_refused_up_front(capsys):
         assert captured.out == ""
         assert "exceeds the limit of 1000000 digits" in captured.err
         assert elapsed < 1, f"{argv[0]} took {elapsed:.2f}s, budget 1s"
+
+
+def test_count_with_branch_one_at_any_depth(capsys):
+    # One slot per node: depth + 1 trees, counted without a step per level.
+    start = time.perf_counter()
+    assert run(["count", "--depth", "100000000", "--branch", "1"]) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == "N=100000001 M=100000001\n"
+    assert elapsed < 1, f"count took {elapsed:.2f}s, budget 1s"
 
 
 def test_count_with_branching_past_float_range(capsys):
@@ -175,6 +189,26 @@ def test_enum_sorted_is_the_walk_in_tree_order(tmp_path, capsys, text, flags, li
     tree_of = dict(zip(walk_lines, parse_ttrees(walk_lines, problem)))
     key = cmp_to_key(lambda x, y: compare(tree_of[x], tree_of[y]).value)
     assert lines == sorted(walk_lines, key=key)[:limit]
+
+
+@pytest.mark.parametrize(
+    "name, flags, digest",
+    [
+        ("abcd", [], "4b9cb8b461a83fa494e69d7c6c3d60425506f7138f865086e98272c38c48ca7d"),
+        ("abcd", ["--canonical"], "a31eed2bfa5856405af781e049ab4163ef9ffbabda6c1a7b670652aca1f9f7f8"),
+        ("cyclic", ["--max-depth", "3"],
+         "7870213018e10a50ab104cfd593aa691e7b6f71fd93f50752d5a37d6d277197d"),
+        ("wide", ["--canonical", "--max-depth", "2"],
+         "280ba5f1660b0392d7b5a51becd8741a529971865debf8d4d52713cbc47552de"),
+    ],
+)
+def test_enum_output_order_is_pinned(request, tmp_path, capsys, name, flags, digest):
+    # The walk's order is unspecified but must not drift between versions:
+    # a change to the walk that reorders its children changes these digests.
+    path = tmp_path / f"{name}.prob"
+    path.write_text(render_problem(request.getfixturevalue(name)))
+    assert run(["enum", str(path), *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_enum_lines_parse_back(abcd_file, capsys):

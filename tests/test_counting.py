@@ -45,7 +45,12 @@ def test_enumeration_confirms_disputed_cell():
 
 @pytest.mark.slow
 def test_enumeration_confirms_deep_disputed_cell():
-    # ~9 seconds: walks all 621436 trees of the (3, 3) chain
+    # ~2.4 seconds: walks all 621436 trees of the (3, 3) chain
+    assert sum(1 for _ in enumerate_all(chain_problem(3, 3))) == 621_436
+
+
+def test_enumeration_confirms_deep_disputed_cell_by_default():
+    # The slow test above, in the default suite now that it takes ~2.4 s.
     assert sum(1 for _ in enumerate_all(chain_problem(3, 3))) == 621_436
 
 
@@ -101,6 +106,14 @@ def test_branching_past_float_range():
             count(2, k)
     assert time.perf_counter() - start < 1
     assert _digit_bounds(1, k) == (401.0, 401.0)
+
+
+def test_branch_one_counts_a_path_per_depth():
+    start = time.perf_counter()
+    for depth in (0, 1, 5, 10**8):
+        assert count_all(depth, 1) == count_canonical(depth, 1) == depth + 1
+        assert _digit_bounds(depth, 1)[1] >= len(str(depth + 1))
+    assert time.perf_counter() - start < 1
 
 
 def test_digit_bounds_hold():

@@ -153,13 +153,19 @@ def test_enumerate_all_of_cyclic_problem_matches_product_oracle():
 
 
 @pytest.fixture
-def walk_corpora(abcd, wide):
+def walk_corpora(abcd, pc, wide, cyclic):
+    # In pc a leaf Mainboard grows two ways; the height bounds stop growth
+    # on the path and on the leaves beside it.
     return [
         (chain_problem(2, 4), None),
         (chain_problem(3, 2), None),
         (abcd, None),
+        (pc, None),
+        (wide, 1),
         (wide, 2),
-        (cyclic_problem(), 3),
+        (cyclic, 0),
+        (cyclic, 1),
+        (cyclic, 3),
     ]
 
 
