@@ -3,16 +3,17 @@
 Exit codes: 0 for success, 1 for a negative domain answer (`check` on a
 non-canonical or non-conforming tree, `iso` on non-isomorphic trees),
 2 for usage, parse, or validation errors, 3 for an internal error (an
-unexpected exception, reported with its traceback on stderr).
+unexpected exception, reported with its traceback on stderr), 141 when
+the reader closed stdout before the output ended.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 import traceback
-from functools import cmp_to_key
 from itertools import islice
 from pathlib import Path
 from typing import Sequence
@@ -29,8 +30,8 @@ from .core import (
     ttree_to_config,
 )
 from .counting import _decimal, approx_canonical, comparison_table, count_all, count_canonical
-from .order import canonicalize, compare, is_canonical, isomorphic
-from .search import _walk, canonical_removal
+from .order import canonicalize, is_canonical, isomorphic
+from .search import _enumerate, canonical_removal
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit only canonical trees (one per isomorphism class)",
     )
     enum.add_argument(
-        "--sorted", action="store_true", help="emit in increasing tree order"
+        "--sorted", action="store_true", help="no effect: trees come in increasing tree order"
     )
     enum.add_argument(
         "--max-depth",
@@ -136,10 +137,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_enum(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
-    walk = _walk(_load_problem(args.problem), args.max_depth, args.canonical)
-    if args.sorted:
-        walk = sorted(walk, key=cmp_to_key(lambda x, y: compare(x[0], y[0]).value))
-    for _, line in islice(walk, args.limit):
+    trees = _enumerate(_load_problem(args.problem), args.max_depth, args.canonical)
+    for _, line in islice(trees, args.limit):
         print(line)
     return 0
 
@@ -209,7 +208,14 @@ def run(argv: Sequence[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader left early, as `| head` does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so exit flushes nothing
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -202,12 +202,15 @@ def comparison_table(p_max: int, k_max: int) -> CountTable:
     """Exact N/M grid for 1 <= p <= p_max, 1 <= k <= k_max."""
     if p_max < 1 or k_max < 1:
         raise ValueError("table needs p_max >= 1 and k_max >= 1")
-    if p_max * k_max > _MAX_DIGITS:
-        raise ValueError(
-            f"the {p_max} x {k_max} table has {p_max * k_max} cells of one digit or "
-            f"more, which exceeds the limit of {_MAX_DIGITS} digits"
-        )
-    _refuse_huge("N", p_max, k_max)  # the largest count of the grid
+    digits = 0.0
+    for k in range(1, k_max + 1):  # each cell adds 2 or more, so this ends soon
+        for p in range(1, p_max + 1):
+            digits += sum(_digit_bounds(p, k))
+            if digits > _MAX_DIGITS:
+                raise ValueError(
+                    f"the {p_max} x {k_max} table is too large to print: a summed "
+                    f"digit bound {digits:.7g} exceeds the limit of {_MAX_DIGITS} digits"
+                )
     totals = tuple(
         tuple(count_all(p, k) for k in range(1, k_max + 1))
         for p in range(1, p_max + 1)

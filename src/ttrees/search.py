@@ -1,35 +1,27 @@
 """Growing, shrinking, and enumerating the T-trees of a problem.
 
-The state space of a structural problem is the set of conforming T-trees
-connected by *unit extensions*: adding one leaf at a legal site.
-`canonical_removal` maps every tree but the root leaf to a smaller one, so
-reading it backwards makes the conforming trees a tree of trees rooted at
-the root leaf: reverse search (Avis & Fukuda, 1996).  Both enumerators are
-one depth-first walk of that tree, which emits each tree exactly once and
-keeps no visited set; its memory is the pending children along one
-root-to-tree chain.
+Unit extensions add one leaf at a legal site; `canonical_removal` takes
+one away and keeps canonical trees canonical.  With `extension_sites`,
+`apply_extension` and `is_canonical_incremental` they are the growth API
+a configurator builds on.
 
-A tree's children are found on its removal spine alone (`_children`): the
-path through the first non-leaf member of each first T-list, and the
-leaves left of it.  Each is grown in place and only the path above it is
-rebuilt, bottom up.  The removal keeps canonical trees canonical, so the
-canonical trees are a subtree of the same walk; `enumerate_canonical`
-drops a child as soon as a rebuilt member passes its right neighbour,
-before the level above is built (canonical augmentation, McKay 1998).  So
-every emitted child is built once and a rejected child is never finished.
-Each tree's line is carried along: its parent's line plus one piece.
+The enumerators stream trees in increasing tree order, lexicographic over
+the T-lists in type order, each by length, then member by member.  So a
+*level* (one type under one height budget) is the positions of an odometer,
+its canonical trees those with sorted T-lists (Beyer & Hedetniemi, 1980;
+Ruskey, *Combinatorial Generation*).  Small levels are drained into tables.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
 
-from .core import StructuralProblem, TTree, TypeSymbol, _trusted_ttree
+from .core import StructuralProblem, TTree, TypeSymbol, _trusted_ttree, render_ttree
 from .order import _compare, TreeOrdering
 
-_EQUAL = TreeOrdering.EQUAL
 _GREATER = TreeOrdering.GREATER
 
 
@@ -72,19 +64,16 @@ def extension_sites(
     return sites
 
 
-def _rise(node: TTree, trail: tuple | None, canonical: bool = False) -> TTree | None:
+def _rise(node: TTree, trail: tuple | None) -> TTree:
     """The root of `trail` with `node` in place of the member it leads to.
 
     `trail` links `(ancestor, group position, member index, trail above)`
-    from that member's parent to the root.  With `canonical`, None as soon
-    as a rebuilt member is greater than its right neighbour.
+    from that member's parent to the root.
     """
     while trail is not None:
         ancestor, g, i, trail = trail
         groups = ancestor.groups
         symbol, members = groups[g]
-        if canonical and i + 1 < len(members) and _compare(node, members[i + 1], None) is _GREATER:
-            return None
         group = ((symbol, members[:i] + (node,) + members[i + 1 :]),)
         node = _trusted_ttree(ancestor.label, groups[:g] + group + groups[g + 1 :])
     return node
@@ -162,85 +151,158 @@ def canonical_removal(tree: TTree) -> TTree:
     return _rise(_trusted_ttree(node.label, shrunk), trail)
 
 
-def _growth_table(problem: StructuralProblem) -> list[tuple]:
-    """Per type rank: (component, rank, max cardinality, leaf, name) rows."""
-    leaves = {r.component: _trusted_ttree(r.component) for r in problem.relations}
-    return [
-        [(c, c.rank, problem.schema(t, c).max_cardinality, leaves[c], c.name)
-         for c in problem.component_types(t)]
-        for t in problem.types
-    ]
+_TABLE_CHARS = 1 << 16  # text in the level tables of one enumeration: count x top width
 
 
-def _children(
-    tree: TTree, line: str, table: list[tuple], max_height: int | None, canonical: bool
-) -> list[tuple[TTree, str]]:
-    """The children of `tree`, whose line is `line`, each with its line;
-    with `canonical`, the canonical children of a canonical `tree`.
+class _Level:
+    """The trees of one type under one height budget.  `parts`: (component,
+    cap, level below).  A member equal to `top`, the greatest tree, is that
+    object, so "cannot grow" is an identity test; `width` is its line's
+    length.  A small level has its trees and lines in `table`, `index`."""
 
-    A child's removal must end at its new leaf, so only the removal spine
-    grows: the path through the first non-leaf member `j` of each first
-    T-list, and the leaves left of each `j`, all of one type, which places
-    the new text.  A path node grows a T-list that is or becomes its first
-    and holds only leaves.  The path grows top down, then its leaves bottom
-    up, in descending index.  Canonically only the last leaf left of `j`
-    grows, as the others equal their right neighbours, and the path stops
-    at a member equal to its right neighbour, which would pass it when
-    grown.
-    """
-    found = []
-    levels = []  # path nodes whose leaves grow: node, leaf type, j, offset of "(", trail
-    node, depth, at, trail = tree, 0, 0, None
+    __slots__ = ("label", "height", "leaf", "parts", "top", "width", "table", "index")
+
+    def __init__(self, label: TypeSymbol, height: int, leaf: TTree):
+        self.label, self.height, self.leaf = label, height, leaf
+        self.parts = self.top = self.width = self.table = self.index = None
+
+
+class _Levels:
+    """The levels one enumeration reaches, made when first reached.  One is
+    tabled, after the levels below it, when its tree count times its top
+    width fits in what is left of `_TABLE_CHARS`.  Both numbers saturate
+    past the budget.  A level of height h has h + 1 trees or more, of width
+    h + 1 or more, unless its type cannot reach that height: so whether it
+    fits is the same at every height from sqrt(budget) + (number of types) on."""
+
+    def __init__(self, problem: StructuralProblem, canonical: bool):
+        self.problem, self.canonical, self.budget = problem, canonical, _TABLE_CHARS
+        self.made: dict[tuple[int, int], _Level] = {}
+        self.sizes: dict[tuple[int, int], tuple[int, int]] = {}  # count, top width
+        self.clamp = math.isqrt(_TABLE_CHARS) + len(problem.types)
+        self.components = [[(c, problem.schema(t, c).max_cardinality, c.rank)
+                            for c in problem.component_types(t)] for t in problem.types]
+
+    def open(self, level: _Level) -> list[tuple]:
+        h, parts = level.height, self.components[level.label.rank]
+        level.parts = [(c, cap, self.get((rank, h - 1))) for c, cap, rank in parts if h]
+        return level.parts
+
+    def cost(self, rank: int, height: int) -> int:
+        """The level's tree count times its top width, both saturated."""
+        bound, key, sizes = _TABLE_CHARS + 1, (rank, min(height, self.clamp)), self.sizes
+        stack = [key]
+        while stack:
+            rank, h = stack[-1]
+            parts = self.components[rank] if h else []
+            missing = [(c, h - 1) for _, _, c in parts if (c, h - 1) not in sizes]
+            if missing:
+                stack += missing
+                continue
+            count, width = 1, len(self.problem.types[rank].name) + bool(parts)
+            for _, cap, c in parts:
+                trees, top = sizes[c, h - 1]
+                lists = term = 1  # term: the T-lists of exactly i members
+                for i in range(1, cap + 1):
+                    term = term * (trees + i - 1) // i if self.canonical else term * trees
+                    lists += term
+                    if lists >= bound:
+                        break
+                count = min(count * lists, bound)
+                width = min(width + cap * (top + 1), bound)
+            sizes[stack.pop()] = count, width
+        count, width = sizes[key]
+        return count * width
+
+    def get(self, key: tuple[int, int]) -> _Level:
+        """The level, made after those below it that may be tabled.  A
+        level of one tree is always tabled, so its top is its leaf."""
+        todo, stack = {}, [key]
+        while stack:
+            rank, h = below = stack.pop()
+            if below not in self.made and below not in todo:
+                todo[below] = self.cost(rank, h)
+                if h and todo[below] <= self.budget:
+                    stack += [(c, h - 1) for _, _, c in self.components[rank]]
+        for rank, h in sorted(todo, key=itemgetter(1)):
+            label = self.problem.types[rank]
+            level = self.made[rank, h] = _Level(label, h, _trusted_ttree(label))
+            if todo[rank, h] <= self.budget or not (h and self.components[rank]):
+                self.budget -= todo[rank, h]
+                level.table = list(_trees(self, level))
+                level.index = {id(tree): i for i, (tree, _) in enumerate(level.table)}
+                level.top, level.width = level.table[-1][0], len(level.table[-1][1])
+        return self.made[key]
+
+
+def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[TTree, str]]:
+    """Each tree of `level` with its line, in increasing tree order.  A step
+    descends to the least significant position that can grow, from the
+    right: a member not its level's top, or a list not full.  A tabled
+    member steps to the next tree of its table; a list grows by a member.
+    Everything after drops to its minimum: later T-lists empty, later
+    members leaves, or with `canonical` copies of the stepped member.  Only
+    the path above is rebuilt, and the line from there on."""
+    build, canonical = _trusted_ttree, levels.canonical
+    tree, line = level.leaf, level.label.name
     while True:
-        label, groups = node.label, node.groups
-        at += len(label.name)  # where "(" is or would go
-        if groups:
-            first_type, first = groups[0]
-            rank, count = first_type.rank, len(first)
-            j = 0
-            while j < count and not first[j].groups:
-                j += 1
-        if max_height is None or depth < max_height:
-            for symbol, symbol_rank, cap, leaf, name in table[label.rank]:
-                if not groups:
-                    grown, cut, piece = ((symbol, (leaf,)),), at, "(" + name + ")"
-                elif symbol_rank < rank:
-                    grown, cut, piece = ((symbol, (leaf,)),) + groups, at + 1, name + ","
-                elif symbol_rank == rank and j == count < cap:
-                    grown = ((symbol, first + (leaf,)),) + groups[1:]
-                    cut, piece = at + count * (len(name) + 1), "," + name
-                else:
+        yield tree, line
+        path, node, lv, at = [], tree, level, len(line)  # `at`: where the scanned text ends
+        while True:
+            groups = node.groups
+            g = len(groups)
+            if g:
+                at -= 1  # the closing parenthesis
+            for symbol, cap, sub in reversed(lv.parts or levels.open(lv)):
+                members = ()
+                if g and groups[g - 1][0] is symbol:
+                    g -= 1
+                    members = groups[g][1]
+                k = len(members)
+                while k and members[k - 1] is sub.top:
+                    k -= 1
+                    at -= sub.width + 1
+                if k or len(members) < cap:
                     break
-                child = _rise(_trusted_ttree(label, grown), trail, canonical)
-                if child is not None:
-                    found.append((child, line[:cut] + piece + line[cut:]))
-        if not groups:
-            break
-        if j and table[rank] and (max_height is None or depth + 1 < max_height):
-            levels.append((node, first_type, j, at, trail))
-        if j == count or (canonical and j + 1 < count
-                          and _compare(first[j], first[j + 1], None) is _EQUAL):
-            break
-        trail = (node, 0, j, trail)
-        node, depth, at = first[j], depth + 1, at + 1 + j * (len(first_type.name) + 1)
-    for node, leaf_type, j, at, trail in reversed(levels):
-        step = len(leaf_type.name) + 1
-        grown = [(_trusted_ttree(leaf_type, ((symbol, (leaf,)),)), "(" + name + ")")
-                 for symbol, _, _, leaf, name in table[leaf_type.rank]]
-        for i in range(j - 1, j - 2 if canonical else -1, -1):
-            cut = at + (i + 1) * step  # the end of leaf i's name
-            for leaf, piece in grown:
-                child = _rise(leaf, (node, 0, i, trail), canonical)
-                if child is not None:
-                    found.append((child, line[:cut] + piece + line[cut:]))
-    return found
+            else:
+                return
+            if not k:  # the list grows by one member, and all its members are leaves
+                members = (sub.leaf,) * (len(members) + 1)
+                pieces = ["," if g else "(", ",".join([sub.label.name] * len(members)), ")"]
+                tree, text = build(node.label, groups[:g] + ((symbol, members),)), None
+                break
+            path.append((node, lv, g, members, k - 1))
+            node, lv = members[k - 1], sub
+            if sub.index is not None:  # the member steps to the next tree of its table
+                i = sub.index[id(node)]
+                at -= len(sub.table[i][1])
+                tree, text = sub.table[i + 1]
+                pieces = [text]
+                break
+        while path:  # rebuild the path; a rebuilt member equal to its level's top is that top
+            parts, groups = lv.parts, tree.groups
+            if (lv.table is None and len(groups) == len(parts)
+                    and groups[-1][1][-1] is parts[-1][2].top and all(
+                        len(ms) == cap and all(m is sub.top for m in ms)
+                        for (_, ms), (_, cap, sub) in zip(groups, parts))):
+                if lv.top is None:
+                    lv.top = tree
+                    lv.width = len(lv.label.name) + 1 + sum(c * (s.width + 1) for _, c, s in parts)
+                tree = lv.top
+            node, above, g, members, i = path.pop()
+            rest = len(members) - i - 1
+            copy = ((text or render_ttree(tree)) if canonical else lv.label.name) if rest else ""
+            pieces.append(("," + copy) * rest + ")")
+            members = members[:i] + (tree,) + (tree if canonical else lv.leaf,) * rest
+            tree, text = build(node.label, node.groups[:g] + ((lv.label, members),)), None
+            lv = above
+        line = line[:at] + "".join(pieces)
 
 
-def _walk(
+def _enumerate(
     problem: StructuralProblem, max_height: int | None, canonical: bool
 ) -> Iterator[tuple[TTree, str]]:
-    """Depth-first reverse search from the root leaf: each tree (only the
-    canonical ones with `canonical`) with its `render_ttree` line."""
+    """Each tree, only the canonical ones with `canonical`, with its line."""
     if problem.is_cyclic and max_height is None:
         raise ValueError(
             "problem has a cyclic type graph; enumeration needs a height bound "
@@ -248,42 +310,20 @@ def _walk(
         )
     if max_height is not None and max_height < 0:
         raise ValueError(f"height bound must be >= 0, got {max_height}")
-    table = _growth_table(problem)
     root = problem.root_leaf()
-    stack = [(root, root.label.name)]
-    while stack:
-        tree, line = stack.pop()
-        yield tree, line
-        stack += _children(tree, line, table, max_height, canonical)
+    height = len(problem.types) if max_height is None else max_height  # no taller tree conforms
+    return _trees(_Levels(problem, canonical), _Level(root.label, height, root))
 
 
-def enumerate_all(
-    problem: StructuralProblem,
-    *,
-    max_height: int | None = None,
-) -> Iterator[TTree]:
-    """Every conforming T-tree exactly once, in depth-first order.
-
-    One reverse-search walk: each tree is grown only at the sites whose
-    `canonical_removal` leads straight back to it, so no visited set is
-    kept.  The order is unspecified beyond being deterministic.
-    `max_height` bounds tree height and is mandatory for cyclic type
-    graphs.
-    """
-    return map(itemgetter(0), _walk(problem, max_height, canonical=False))
+def enumerate_all(problem: StructuralProblem, *, max_height: int | None = None) -> Iterator[TTree]:
+    """Every conforming T-tree exactly once, in increasing tree order.
+    `max_height` bounds tree height; cyclic type graphs need it."""
+    return map(itemgetter(0), _enumerate(problem, max_height, canonical=False))
 
 
 def enumerate_canonical(
-    problem: StructuralProblem,
-    *,
-    max_height: int | None = None,
+    problem: StructuralProblem, *, max_height: int | None = None
 ) -> Iterator[TTree]:
-    """Every canonical conforming T-tree exactly once.
-
-    Generates constructively: the same walk as `enumerate_all`, keeping
-    only children whose grown members stay in order, which is what
-    `is_canonical_incremental` checks.  The removal of a canonical tree is
-    canonical, so every canonical tree is reached through canonical trees
-    alone; nothing is emitted twice and nothing is missed.
-    """
-    return map(itemgetter(0), _walk(problem, max_height, canonical=True))
+    """Every canonical conforming T-tree, one per isomorphism class, in
+    increasing tree order: `enumerate_all` over sorted T-lists only."""
+    return map(itemgetter(0), _enumerate(problem, max_height, canonical=True))

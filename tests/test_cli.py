@@ -3,10 +3,16 @@ from __future__ import annotations
 import gc
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
+
+import ttrees
 
 from ttrees import (
     TTree,
@@ -68,12 +74,14 @@ def test_count_rejects_bad_arguments(capsys):
 
 
 def test_huge_counts_are_refused_up_front(capsys):
-    # A table prints a digit or more per cell, so a grid of more cells than
-    # the digit limit is refused before its first cell.
+    # A table is refused before its first cell when its cells' digit bounds
+    # add up past the limit: a grid of many small cells (2 x 3000 would
+    # print 17.5 MB) as well as one huge cell.
     for argv in (["count", "--depth", "9", "--branch", "9"],
                  ["table", "--pmax", "9", "--kmax", "9"],
                  ["table", "--pmax", "1", "--kmax", "1" + "0" * 30],
-                 ["table", "--pmax", "100000000", "--kmax", "1"]):
+                 ["table", "--pmax", "100000000", "--kmax", "1"],
+                 ["table", "--pmax", "2", "--kmax", "3000", "--csv"]):
         start = time.perf_counter()
         assert run(argv) == 2
         elapsed = time.perf_counter() - start
@@ -188,27 +196,63 @@ def test_enum_sorted_is_the_walk_in_tree_order(tmp_path, capsys, text, flags, li
         assert compare(a, b) is TreeOrdering.LESS
     tree_of = dict(zip(walk_lines, parse_ttrees(walk_lines, problem)))
     key = cmp_to_key(lambda x, y: compare(tree_of[x], tree_of[y]).value)
-    assert lines == sorted(walk_lines, key=key)[:limit]
+    assert lines == sorted(walk_lines, key=key)[:limit] == walk_lines[:limit]
 
 
 @pytest.mark.parametrize(
     "name, flags, digest",
     [
-        ("abcd", [], "4b9cb8b461a83fa494e69d7c6c3d60425506f7138f865086e98272c38c48ca7d"),
-        ("abcd", ["--canonical"], "a31eed2bfa5856405af781e049ab4163ef9ffbabda6c1a7b670652aca1f9f7f8"),
+        ("abcd", [], "ea2d6d3c80b01866e8daeb60a7a10fe4e22401b5cae519d3267169f3c457afea"),
+        ("abcd", ["--canonical"], "c8cf942e27cbef14dc03495257870c569e2b733ced205fc4c6deee2d03a4b3a1"),
         ("cyclic", ["--max-depth", "3"],
-         "7870213018e10a50ab104cfd593aa691e7b6f71fd93f50752d5a37d6d277197d"),
+         "3d19fc7c06de083024841cf9cda37e75746f8fd1b229d069306932c6311ad838"),
         ("wide", ["--canonical", "--max-depth", "2"],
-         "280ba5f1660b0392d7b5a51becd8741a529971865debf8d4d52713cbc47552de"),
+         "7e717e787fdccae7e28a5ca619841381c293ddf96f668398ade88f4375bac514"),
     ],
+    ids=["abcd", "abcd-canonical", "cyclic-depth3", "wide-canonical-depth2"],
 )
 def test_enum_output_order_is_pinned(request, tmp_path, capsys, name, flags, digest):
-    # The walk's order is unspecified but must not drift between versions:
-    # a change to the walk that reorders its children changes these digests.
+    # Increasing tree order: these digests are those of `enum --sorted` at
+    # the last version that sorted a reverse-search walk, so the streamed
+    # order is checked against an order found another way.
     path = tmp_path / f"{name}.prob"
     path.write_text(render_problem(request.getfixturevalue(name)))
-    assert run(["enum", str(path), *flags]) == 0
-    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    for sort in ([], ["--sorted"]):
+        assert run(["enum", str(path), *flags, *sort]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_enum_streams_from_a_deep_bound_at_once(tmp_path, capsys):
+    # Only the levels the first trees reach are made; none is a million deep.
+    path = tmp_path / "loop.prob"
+    path.write_text(CYCLIC_PROBLEM)
+    for flags in ([], ["--canonical"]):
+        start = time.perf_counter()
+        assert run(["enum", str(path), "--max-depth", "1000000", "--limit", "10", *flags]) == 0
+        elapsed = time.perf_counter() - start
+        deep = capsys.readouterr().out
+        assert run(["enum", str(path), "--max-depth", "10", "--limit", "10", *flags]) == 0
+        assert deep == capsys.readouterr().out
+        assert deep.splitlines()[-1] == "X(" + "Y(" * 8 + "Y" + ")" * 9
+        assert elapsed < 1, f"enum took {elapsed:.2f}s, budget 1s"
+
+
+def test_enum_into_a_closed_pipe(tmp_path):
+    # `ttrees enum ... | head -n 1`: the reader leaves after one line, long
+    # before the 8 436 trees are written.
+    path = tmp_path / "chain33.prob"
+    path.write_text(render_problem(chain_problem(3, 3)))
+    src = Path(ttrees.__file__).resolve().parents[1]
+    child = subprocess.Popen(
+        [sys.executable, "-m", "ttrees.cli", "enum", "--canonical", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert child.stdout.readline() == b"T0\n"
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141
+    assert stderr == b""
 
 
 def test_enum_lines_parse_back(abcd_file, capsys):

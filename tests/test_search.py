@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from functools import cmp_to_key
 from itertools import islice
 
 import pytest
@@ -24,7 +25,7 @@ from ttrees import (
     unit_extensions,
 )
 from ttrees import search
-from ttrees.search import _children, _growth_table, _walk
+from ttrees.search import _enumerate
 from oracles import all_conforming_trees
 
 
@@ -169,37 +170,60 @@ def walk_corpora(abcd, pc, wide, cyclic):
     ]
 
 
-def test_parent_rule_matches_removal(walk_corpora):
-    # All-trees mode: exactly the extensions whose removal leads back.  Canonical
-    # mode (on canonical trees): exactly those that also pass the incremental check.
-    for problem, max_height in walk_corpora:
-        table = _growth_table(problem)
-        for tree in all_conforming_trees(problem, max_height):
-            line = render_ttree(tree)
-            sites = extension_sites(tree, problem, max_height=max_height)
-            grown = [(site, apply_extension(tree, site)) for site in sites]
-            preimages = [(site, child) for site, child in grown if canonical_removal(child) == tree]
-            children = [child for child, _ in _children(tree, line, table, max_height, False)]
-            assert len(children) == len(set(children)) == len(preimages), line
-            assert set(children) == {child for _, child in preimages}, line
-            if is_canonical(tree):
-                kept = {child for site, child in preimages if is_canonical_incremental(child, site)}
-                children = [child for child, _ in _children(tree, line, table, max_height, True)]
-                assert len(children) == len(kept) and set(children) == kept, line
+def closure(problem, max_height, canonical):
+    """The trees reached from the root leaf by unit extensions within the
+    height bound, through canonical trees only with `canonical`, sorted
+    by `compare`: reverse search's state space, read without its order."""
+    root = problem.root_leaf()
+    reached, frontier = {render_ttree(root): root}, [root]
+    while frontier:
+        tree = frontier.pop()
+        for site in extension_sites(tree, problem, max_height=max_height):
+            grown = apply_extension(tree, site)
+            line = render_ttree(grown)
+            if line not in reached and (not canonical or is_canonical(grown)):
+                reached[line] = grown
+                frontier.append(grown)
+    return sorted(reached.values(), key=cmp_to_key(lambda a, b: compare(a, b).value))
 
 
-def test_walk_carries_each_tree_line(walk_corpora):
+@pytest.mark.parametrize("table_chars", [None, 0])
+def test_enumeration_streams_the_closure_in_tree_order(walk_corpora, monkeypatch, table_chars):
+    # With no room for tables every level is stepped by descending into it.
+    if table_chars is not None:
+        monkeypatch.setattr(search, "_TABLE_CHARS", table_chars)
     for problem, max_height in walk_corpora:
         for canonical in (False, True):
-            for tree, line in _walk(problem, max_height, canonical):
+            trees = [tree for tree, _ in _enumerate(problem, max_height, canonical)]
+            for a, b in zip(trees, trees[1:]):
+                assert compare(a, b) is TreeOrdering.LESS
+            assert trees == closure(problem, max_height, canonical)
+
+
+@pytest.mark.parametrize("table_chars", [None, 0])
+def test_walk_carries_each_tree_line(walk_corpora, monkeypatch, table_chars):
+    # Lines are rewritten from the stepped position on, or taken from a table.
+    if table_chars is not None:
+        monkeypatch.setattr(search, "_TABLE_CHARS", table_chars)
+    for problem, max_height in walk_corpora:
+        for canonical in (False, True):
+            for tree, line in _enumerate(problem, max_height, canonical):
                 assert line == render_ttree(tree)
 
 
+def test_long_chain_enumerates_without_recursion():
+    # 1 000 types, one slot each: the trees are the paths from the root,
+    # and the path to each stepped position is 1 000 levels long at most.
+    names = [f"T{i}" for i in range(1000)]
+    problem = StructuralProblem("T0", names, [(a, b, 1) for a, b in zip(names, names[1:])])
+    heights = [tree.height for tree in enumerate_all(problem)]
+    assert heights == list(range(1000))
+
+
 def test_canonical_enumeration_decides_before_building(monkeypatch):
-    # A rejected child is dropped before its root is built, so every root
-    # tree built is emitted; only the root leaf is not built by the walk.
-    # Members equal to their right neighbour are never grown: growing them
-    # too would build 30 095 trees here.
+    # Each emitted tree but the root leaf costs one root build: the members
+    # of chain(3, 3)'s root step through the table of their level, drained
+    # once, and no level below is rebuilt.
     problem = chain_problem(3, 3)
     roots = built = 0
     real = search._trusted_ttree
@@ -214,7 +238,7 @@ def test_canonical_enumeration_decides_before_building(monkeypatch):
     emitted = sum(1 for _ in enumerate_canonical(problem))
     assert emitted == 8436
     assert roots == 8435
-    assert built <= 25_756
+    assert built <= 8_500
 
 
 def test_enumerate_canonical_counts():
