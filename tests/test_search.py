@@ -200,15 +200,22 @@ def test_enumeration_streams_the_closure_in_tree_order(walk_corpora, monkeypatch
             assert trees == closure(problem, max_height, canonical)
 
 
-@pytest.mark.parametrize("table_chars", [None, 0])
-def test_walk_carries_each_tree_line(walk_corpora, monkeypatch, table_chars):
-    # Lines are rewritten from the stepped position on, or taken from a table.
-    if table_chars is not None:
-        monkeypatch.setattr(search, "_TABLE_CHARS", table_chars)
+def _assert_lines_carried(walk_corpora):
     for problem, max_height in walk_corpora:
         for canonical in (False, True):
             for tree, line in _enumerate(problem, max_height, canonical):
                 assert line == render_ttree(tree)
+
+
+def test_walk_carries_each_tree_line(walk_corpora):
+    # Lines are rewritten from the stepped position on, or taken from a table.
+    _assert_lines_carried(walk_corpora)
+
+
+def test_walk_carries_each_tree_line_without_tables(walk_corpora, monkeypatch):
+    # With no room for tables every line is rewritten by descending.
+    monkeypatch.setattr(search, "_TABLE_CHARS", 0)
+    _assert_lines_carried(walk_corpora)
 
 
 def test_long_chain_enumerates_without_recursion():
