@@ -3,8 +3,8 @@
 Exit codes: 0 for success, 1 for a negative domain answer (`check` on a
 non-canonical or non-conforming tree, `iso` on non-isomorphic trees),
 2 for usage, parse, or validation errors, 3 for an internal error (an
-unexpected exception, reported with its traceback on stderr), 141 when
-the reader closed stdout before the output ended.
+unexpected exception, with its traceback on stderr, or a failed round
+trip), 141 when the reader closed stdout before the output ended.
 """
 
 from __future__ import annotations
@@ -179,11 +179,10 @@ def _cmd_removal(args: argparse.Namespace) -> int:
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
     problem = _load_problem(args.problem)
-    config = parse_config(args.config.read_text(encoding="utf-8"), problem)
-    tree = config_to_ttree(config)
+    tree = config_to_ttree(parse_config(args.config.read_text(encoding="utf-8"), problem))
     if config_to_ttree(ttree_to_config(tree)) != tree:
         print("round trip failed", file=sys.stderr)
-        return 2
+        return 3  # the conversions disagree: a fault of this program, not of the input
     print(render_ttree(tree))
     return 0
 

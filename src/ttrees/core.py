@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Sequence
@@ -200,7 +201,7 @@ class StructuralProblem:
 def parse_problem(text: str, *, allow_cyclic: bool = False) -> StructuralProblem:
     """Parse the line-based problem format.
 
-    Directives (one per line, `#` starts a comment):
+    Directives (one per line, `#` starts a comment, numbers in ASCII digits):
       root <TypeName>
       type <TypeName>          # declaration order defines the type order
       rel <Composite> <Component> max <positive-int>
@@ -221,7 +222,7 @@ def parse_problem(text: str, *, allow_cyclic: bool = False) -> StructuralProblem
             types.append(tokens[1])
         elif tokens[0] == "rel" and len(tokens) == 5 and tokens[3] == "max":
             try:
-                max_cardinality = int(tokens[4])
+                (max_cardinality,) = _naturals(tokens[4:])
             except ValueError:
                 raise ProblemError(f"line {lineno}: bad cardinality {tokens[4]!r}") from None
             relations.append((tokens[1], tokens[2], max_cardinality))
@@ -293,10 +294,11 @@ class TTree:
         while pairs:
             a, b = pairs.pop()
             if a is not b:
-                if a.label != b.label or len(a.groups) != len(b.groups):
+                # Identity first: TypeSymbol.__eq__ is a Python call.
+                if a.label is not b.label and a.label != b.label or len(a.groups) != len(b.groups):
                     return False
                 for (ta, la), (tb, lb) in zip(a.groups, b.groups):
-                    if ta != tb or len(la) != len(lb):
+                    if ta is not tb and ta != tb or len(la) != len(lb):
                         return False
                     pairs.extend(zip(la, lb))
         return True
@@ -412,6 +414,9 @@ def render_ttree(tree: TTree) -> str:
 
 # A token: a name, or any other single non-blank character, or "" at the end.
 _TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\S|$)")
+# Texts of these characters alone split into the same tokens with str.split, but for
+# runs of name characters that start with a digit, where parsing fails either way.
+_PLAIN = re.compile(r"[\w(),\t\n\r\f\v ]*", re.ASCII)
 # Stands in for names the problem does not declare until parsing ends.
 _UNKNOWN = TypeSymbol("?", -1)
 
@@ -441,7 +446,10 @@ def parse_ttrees(texts: Sequence[str], problem: StructuralProblem | None = None)
 
 def _parse(text: str, leaves: dict[str, TTree], problem: StructuralProblem | None) -> TTree:
     # One pass with an explicit stack; each node is built once, at its ')'.
-    tokens = _TOKEN.findall(text)
+    if _PLAIN.fullmatch(text):
+        tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split() + [""]
+    else:
+        tokens = _TOKEN.findall(text)
     stack: list[tuple] = []  # (label, children) of the enclosing open nodes
     children = None  # members read so far of the innermost open node
     i = 0  # the next token, which must be a name
@@ -578,44 +586,52 @@ def make_config(
     declared relation within its cardinality bound; without one, the type
     order defaults to name order and relation checks are skipped.
     """
-    position: dict = {}  # id -> type name, then id -> position
-    for obj, name in objects:
-        if obj < 0:
-            raise ConfigError(f"object ids must be naturals, got {obj}")
-        if obj in position:
-            raise ConfigError(f"object {obj} declared twice")
-        position[obj] = name
-    if not position:
+    objects, links = list(objects), list(links)
+    ids, names = [obj for obj, _ in objects], [name for _, name in objects]
+    return _build_config(ids, names, [s for s, _ in links], [t for _, t in links], problem)
+
+
+def _build_config(ids, names, sources, targets, problem: StructuralProblem | None) -> ConfigTree:
+    """`make_config` on parallel columns.  Each check runs on whole columns;
+    only one that fails walks them in order, to name the first fault."""
+    n = len(ids)
+    if not n:
         raise ConfigError("configuration has no objects")
+    symbols = problem._by_name if problem is not None else {
+        name: TypeSymbol(name, rank) for rank, name in enumerate(sorted(set(names)))
+    }
+    order = sorted(range(n), key=ids.__getitem__)  # input indices by ascending id
+    ordered = list(map(ids.__getitem__, order))
+    labels = list(map(symbols.get, map(names.__getitem__, order)))  # None if unknown
+    del order  # its n ints go before the dict's n are made
+    position = dict(zip(ordered, range(n)))  # built in id order, so lookups stay local
+    if len(position) < n or ordered[0] < 0:
+        seen = set()
+        for obj in ids:
+            if obj < 0:
+                raise ConfigError(f"object ids must be naturals, got {obj}")
+            if obj in seen:
+                raise ConfigError(f"object {obj} declared twice")
+            seen.add(obj)
+    if not symbols.keys() >= set(names):
+        unknown = next(name for name in names if name not in symbols)
+        raise ConfigError(f"unknown type {unknown!r}")
 
-    if problem is not None:
-        symbols = problem._by_name
-    else:
-        names = sorted(set(position.values()))
-        symbols = {name: TypeSymbol(name, rank) for rank, name in enumerate(names)}
-    ids = sorted(position)
-    try:
-        labels = [symbols[position[obj]] for obj in ids]
-    except KeyError:
-        unknown = next(name for name in position.values() if name not in symbols)
-        raise ConfigError(f"unknown type {unknown!r}") from None
-    position.update(zip(ids, range(len(ids))))
-
-    parent = [-1] * len(ids)
-    kids: list = [None] * len(ids)  # child positions in link order; None until one
-    for source, target in links:
-        s, t = position.get(source), position.get(target)
-        if s is None or t is None:
-            undeclared = source if s is None else target
-            raise ConfigError(f"link references undeclared object {undeclared}")
-        if parent[t] >= 0:
-            raise ConfigError(f"object {target} has two composites")
-        parent[t] = s
-        if kids[s] is None:
-            kids[s] = [t]
+    heads, tails = list(map(position.get, sources)), list(map(position.get, targets))
+    valid = min([ends.index(None) for ends in (heads, tails) if None in ends], default=len(heads))
+    parent = [-1] * n
+    kids: list = [None] * n  # child positions in link order; None until one
+    for p, c in islice(zip(heads, tails), valid):  # links before the first undeclared end
+        if parent[c] >= 0:
+            raise ConfigError(f"object {ordered[c]} has two composites")
+        parent[c] = p
+        if kids[p] is None:
+            kids[p] = [c]
         else:
-            kids[s].append(t)
-
+            kids[p].append(c)
+    if valid < len(heads):
+        undeclared = sources[valid] if heads[valid] is None else targets[valid]
+        raise ConfigError(f"link references undeclared object {undeclared}")
     if parent.count(-1) != 1:
         raise ConfigError(f"expected exactly one root object, found {parent.count(-1)}")
     root = parent.index(-1)
@@ -624,9 +640,9 @@ def make_config(
     reached = [root]
     for p in reached:
         reached.extend(kids[p] or ())
-    if len(reached) != len(ids):
-        missing = sorted(set(range(len(ids))).difference(reached))
-        raise ConfigError(f"objects not reachable from the root: {[ids[p] for p in missing]}")
+    if len(reached) != n:
+        missing = sorted(set(range(n)).difference(reached))
+        raise ConfigError(f"objects not reachable from the root: {[ordered[p] for p in missing]}")
 
     ranks = [label.rank for label in labels]
     if problem is not None:
@@ -635,59 +651,73 @@ def make_config(
                 f"root object must have type {problem.root_type.name!r}, "
                 f"got {labels[root].name!r}"
             )
-        width = len(problem.types)
-        maxima = [[0] * width for _ in range(width)]  # by composite and component rank
-        for schema in problem.relations:
-            maxima[schema.composite.rank][schema.component.rank] = schema.max_cardinality
-        for obj, p in position.items():  # objects in input order, children in link order
-            allowed, seen = maxima[ranks[p]], [0] * width
-            for c in kids[p] or ():
-                seen[ranks[c]] += 1
-                if seen[ranks[c]] > allowed[ranks[c]]:
-                    name, bound = labels[c].name, allowed[ranks[c]]
-                    if not bound:
+        cap = {(s.composite.rank, s.component.rank): s.max_cardinality for s in problem.relations}
+        counts = Counter(zip(heads, map(ranks.__getitem__, tails)))
+        if any(count > cap.get((ranks[p], r), 0) for (p, r), count in counts.items()):
+            for obj in ids:  # objects in input order, children in link order
+                p, tally = position[obj], Counter()
+                for c in kids[p] or ():
+                    tally[ranks[c]] += 1
+                    allowed = cap.get((ranks[p], ranks[c]), 0)
+                    if tally[ranks[c]] > allowed:
                         raise ConfigError(
-                            f"no relation allows a {name} inside "
-                            f"a {labels[p].name} (objects {obj} -> {ids[c]})"
+                            f"object {obj} exceeds max cardinality {allowed} for {labels[c].name}"
+                            if allowed
+                            else f"no relation allows a {labels[c].name} inside "
+                            f"a {labels[p].name} (objects {obj} -> {ordered[c]})"
                         )
-                    raise ConfigError(f"object {obj} exceeds max cardinality {bound} for {name}")
 
     for below in kids:
         if below:
             below.sort()  # positions ascend with ids
             below.sort(key=ranks.__getitem__)  # stable: by (rank, id)
     children = tuple([tuple(below) if below else () for below in kids])
-    return ConfigTree(tuple(ids), tuple(labels), children, root)
+    return ConfigTree(tuple(ordered), tuple(labels), children, root)
+
+
+def _naturals(tokens: list[str]) -> list[int]:
+    """The numbers `tokens` spell; ValueError unless each is ASCII digits."""
+    digits = "".join(tokens)
+    if tokens and not (digits.isascii() and digits.isdigit()):
+        raise ValueError("a number that is not ASCII digits")
+    return list(map(int, tokens))
 
 
 def parse_config(text: str, problem: StructuralProblem | None = None) -> ConfigTree:
     """Parse the line-based configuration format.
 
-    Lines (`#` starts a comment):
-      obj <nat> <TypeName>
-      link <parent-nat> <child-nat>
+    Lines, in any order (`#` starts a comment; ids are ASCII digits):
+      obj <id> <TypeName>
+      link <parent-id> <child-id>
     """
-    objects: list[tuple[int, str]] = []
-    links: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if "#" in raw:
-            raw = raw[: raw.index("#")]
-        tokens = raw.split()
-        if not tokens:
-            continue
-        if len(tokens) == 3:
-            keyword, first, second = tokens
+    ids, names, sources, targets = [], [], [], []
+    distinct: dict[str, str] = {}  # one string object per type name
+    try:
+        for raw in text.splitlines():
+            if "#" in raw:
+                raw = raw[: raw.index("#")]
+            tokens = raw.split()
+            if len(tokens) == 3 and tokens[0] == "obj":
+                ids.append(tokens[1])
+                names.append(distinct.setdefault(tokens[2], tokens[2]))
+            elif len(tokens) == 3 and tokens[0] == "link":
+                sources.append(tokens[1])
+                targets.append(tokens[2])
+            elif tokens:
+                raise ValueError("unrecognized directive")
+        ids, sources, targets = map(_naturals, (ids, sources, targets))
+    except ValueError:
+        for lineno, raw in enumerate(text.splitlines(), start=1):  # name the first bad line
+            line = raw.split("#", 1)[0].strip()
+            tokens = line.split()
+            if tokens and (len(tokens) != 3 or tokens[0] not in ("obj", "link")):
+                raise ConfigError(f"line {lineno}: unrecognized directive {line!r}") from None
             try:
-                if keyword == "obj":
-                    objects.append((int(first), second))
-                    continue
-                if keyword == "link":
-                    links.append((int(first), int(second)))
-                    continue
+                _naturals(tokens[1 : 3 if tokens[:1] == ["link"] else 2])
             except ValueError:
-                raise ConfigError(f"line {lineno}: bad object id in {raw.strip()!r}") from None
-        raise ConfigError(f"line {lineno}: unrecognized directive {raw.strip()!r}")
-    return make_config(objects, links, problem)
+                raise ConfigError(f"line {lineno}: bad object id in {line!r}") from None
+        raise
+    return _build_config(ids, names, sources, targets, problem)
 
 
 def config_to_ttree(config: ConfigTree) -> TTree:

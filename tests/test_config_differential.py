@@ -1,12 +1,20 @@
-"""`make_config` and `config_to_ttree` against the dict-based oracle, on
-seeded configurations: scattered and shuffled ids, with and without a
-problem, valid and faulty."""
+"""`make_config` and `config_to_ttree` against the dict-based oracle, and
+`parse_config` against `make_config`, on seeded configurations: scattered
+and shuffled ids, with and without a problem, valid and faulty."""
 
 from __future__ import annotations
 
 import random
 
-from ttrees import ConfigError, StructuralProblem, TTree, chain_problem, config_to_ttree, make_config
+from ttrees import (
+    ConfigError,
+    StructuralProblem,
+    TTree,
+    chain_problem,
+    config_to_ttree,
+    make_config,
+    parse_config,
+)
 from oracles import config_tree_oracle, make_config_oracle, random_tree
 
 CASES_PER_PROBLEM = 1000
@@ -160,4 +168,63 @@ def test_make_config_matches_the_dict_oracle(pc, abcd, wide, cyclic):
             valid += 1
     assert valid > 1000
     for check in CHECKS:
+        assert any(check in message for message in messages), check
+
+
+def _config_file(objects, links, rng) -> str:
+    """A configuration file of these pairs, each kind in its order: obj and
+    link lines interleaved, with comments, blank lines, tabs and line
+    breaks of every kind that str.splitlines knows."""
+    kinds = [0] * len(objects) + [1] * len(links)
+    rng.shuffle(kinds)
+    directives = iter([("obj", *pair) for pair in objects]), iter([("link", *p) for p in links])
+    lines = []
+    for kind in kinds:
+        if rng.random() < 0.1:
+            lines.append(rng.choice(["", "  ", "# a comment", "\t# link 1 2"]))
+        line = rng.choice([" ", "\t", "  "]).join(map(str, next(directives[kind])))
+        ending = rng.choice(["", "", " # note", "#obj 1 X", "\t"])
+        lines.append(rng.choice(["", " "]) + line + ending)
+    breaks = ["\n", "\n", "\r\n", "\r", "\x0b", "\x1e", "\x85", "\u2028"]
+    return "".join(line + rng.choice(breaks) for line in lines)
+
+
+def _first_negative_line(text: str) -> str | None:
+    """The error for the first line with a negative number, if any: a file
+    holds ids in ASCII digits only."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        keyword, *numbers = line.split() or [""]
+        if any(number.startswith("-") for number in numbers[: 1 if keyword == "obj" else 2]):
+            return f"ConfigError: line {lineno}: bad object id in {line!r}"
+    return None
+
+
+def test_parse_config_reads_files_as_make_config_reads_pairs(pc, abcd, wide, cyclic):
+    rng = random.Random(20030607)
+    problems = [pc, abcd, wide, cyclic, chain_problem(3, 2)]
+    messages, valid = [], 0
+    for problem in problems + [None]:
+        for _ in range(CASES_PER_PROBLEM // 2):
+            source: StructuralProblem = problem or rng.choice(problems)
+            objects, links = _materialize(random_tree(source, rng.randint(1, 14), rng), rng)
+            names = [t.name for t in source.types]
+            for fault in rng.sample(FAULTS, rng.choice([0, 0, 1, 1, 2])):
+                fault(objects, links, names, rng)
+            rng.shuffle(objects)
+            rng.shuffle(links)
+            text = _config_file(objects, links, rng)
+            try:
+                got = parse_config(text, problem)
+            except ConfigError as error:
+                got = f"ConfigError: {error}"
+            expected = _first_negative_line(text) or _outcome(make_config, objects, links, problem)
+            assert got == expected, text
+            if isinstance(got, str):
+                messages.append(got)
+            else:
+                valid += 1
+    assert valid > 500
+    # A negative id in a file is refused as a bad id, before make_config sees it.
+    for check in [c for c in CHECKS if c != "must be naturals"] + ["bad object id"]:
         assert any(check in message for message in messages), check

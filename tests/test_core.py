@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -28,6 +29,8 @@ from ttrees import (
     ttree_conforms,
     ttree_to_config,
 )
+from ttrees import core
+from oracles import random_tree
 from conftest import PC_CONFIG
 
 
@@ -191,6 +194,47 @@ def test_syntax_errors_take_precedence_over_unknown_types(abcd):
     assert pytest.raises(ParseError, parse_ttrees, ["A(Z)", "A(B"], abcd).value.position == 3
     with pytest.raises(UnknownTypeError, match="'Z'"):
         parse_ttrees(["A(B,Z)", "A(Y)"], abcd)
+
+
+# Pieces of random tree texts: names, digits, punctuation, ASCII and other
+# whitespace, and characters that appear in no token the parser accepts.
+TEXT_PIECES = (
+    ["A", "B", "C", "D", "Z", "_x9", "B1", "1", "1B", "42"] + ["(", ")", ","] * 4
+    + [" ", "\t", "\n", "\r\n", "\f", "\v", "\u00a0", "\u2003", "\x1c"]
+    + ["#", "-", "\u00e9", "\u0663"]
+)
+
+
+def _parse_outcome(texts, problem):
+    try:
+        return parse_ttrees(texts, problem)
+    except (ParseError, UnknownTypeError) as error:
+        return type(error), str(error), getattr(error, "position", None)
+
+
+def test_split_tokens_parse_like_the_regex(abcd, monkeypatch):
+    """Texts of name characters, parentheses, commas and ASCII blanks are
+    cut by str.split; each text must give the trees, or the error at the
+    same position, that the regex tokenizer alone gives."""
+    rng = random.Random(20030606)
+    cases = []
+    for _ in range(3000):
+        if rng.random() < 0.5:  # a well-formed tree, then a few edits
+            pieces = list(render_ttree(random_tree(abcd, rng.randint(1, 12), rng)))
+            for _ in range(rng.choice([0, 0, 1, 2, 3])):
+                at = rng.randrange(len(pieces) + 1)
+                pieces[at:at + rng.randint(0, 1)] = [rng.choice(TEXT_PIECES)]
+        else:
+            pieces = rng.choices(TEXT_PIECES, k=rng.randint(0, 12))
+        text = "".join(rng.choice(["", " ", "\n "]) + p for p in pieces)
+        text += rng.choice(["", " ", "\t\n"])
+        cases.append(([text] if rng.random() < 0.7 else [text, "A(B)"], rng.choice([abcd, None])))
+    assert sum(bool(core._PLAIN.fullmatch(texts[0])) for texts, _ in cases) > 1500
+    split = [_parse_outcome(texts, problem) for texts, problem in cases]
+    monkeypatch.setattr(core, "_PLAIN", re.compile(r"(?!)"))  # never split
+    assert [_parse_outcome(texts, problem) for texts, problem in cases] == split
+    assert sum(isinstance(outcome, list) for outcome in split) > 500
+    assert sum(isinstance(outcome, tuple) and outcome[0] is ParseError for outcome in split) > 500
 
 
 def test_parse_without_problem_orders_types_by_name():
@@ -359,6 +403,8 @@ def test_config_validation_errors(pc):
         make_config([(0, "PC"), (1, "PC")], [], pc)
     with pytest.raises(ConfigError, match="undeclared object"):
         make_config([(0, "PC")], [(0, 7)], pc)
+    with pytest.raises(ConfigError, match="undeclared object 5$"):  # the source comes first
+        make_config([(0, "PC")], [(5, 6)], pc)
     with pytest.raises(ConfigError, match="no relation"):
         make_config([(0, "PC"), (1, "Processor")], [(0, 1)], pc)
     with pytest.raises(ConfigError, match="max cardinality"):
@@ -397,6 +443,35 @@ def test_config_line_diagnostics():
         parse_config("obj x PC\n")
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("obj 0 PC\nconnect 0 1\n")
+
+
+def test_config_faults_are_named_in_line_order():
+    with pytest.raises(ConfigError, match="line 2: bad object id in 'obj x B'"):
+        parse_config("obj 1 A\nobj x B # note\nconnect 1 2\n")
+    with pytest.raises(ConfigError, match="line 2: unrecognized directive 'connect 1 2'"):
+        parse_config("obj 1 A\n\tconnect 1 2  \nobj x B\n")
+
+
+# int() reads all of these but the superscript; ids and cardinalities are ASCII digits.
+NOT_DIGITS = ["+1", "1_0", "-1", "\u0663", "\uff11", "\u00b2"]
+
+
+@pytest.mark.parametrize("number", NOT_DIGITS)
+def test_ids_and_cardinalities_are_ascii_digits(number):
+    with pytest.raises(ConfigError) as caught:
+        parse_config(f"obj 1 A\nobj {number} B\nlink 1 2\n")
+    assert str(caught.value) == f"line 2: bad object id in 'obj {number} B'"
+    with pytest.raises(ConfigError) as caught:
+        parse_config(f"obj 1 A\nobj 2 B\nlink 1 {number}\n")
+    assert str(caught.value) == f"line 3: bad object id in 'link 1 {number}'"
+    with pytest.raises(ProblemError, match=re.escape(f"line 4: bad cardinality '{number}'")):
+        parse_problem(f"root A\ntype A\ntype B\nrel A B max {number}\n")
+
+
+def test_leading_zeros_are_digits():
+    problem = parse_problem("root A\ntype A\ntype B\nrel A B max 0012\n")
+    assert problem.relations[0].max_cardinality == 12
+    assert parse_config("obj 007 A\n").objects == (7,)
 
 
 def test_enumerated_trees_all_conform():
