@@ -285,7 +285,11 @@ class TTree:
         return hash(render_ttree(self))  # equal trees render alike
 
     def __reduce__(self) -> tuple:
-        return TTree, (self.label, self.groups)  # rebuilt by the checked constructor
+        # Flat, so that a deep tree pickles without recursion: the labels
+        # breadth first, and each node's T-list types and lengths.
+        nodes = [node for depth in _levels([self]) for node in depth]
+        shape = tuple(tuple((symbol, len(ms)) for symbol, ms in node.groups) for node in nodes)
+        return _unflatten, (tuple(node.label for node in nodes), shape)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TTree):
@@ -351,6 +355,25 @@ def _levels(roots: list[TTree]) -> list[list[TTree]]:
         if not below:
             return levels
         levels.append(below)
+
+
+def _unflatten(labels: tuple[TypeSymbol, ...], shape: tuple[tuple, ...]) -> TTree:
+    """The tree `TTree.__reduce__` flattened, rebuilt bottom up without
+    recursion, each node through the checks of `TTree(...)`.  Breadth
+    first, the members of the last node's T-lists come last."""
+    trees, end = list(labels), len(labels)
+    for i in range(len(labels) - 1, -1, -1):
+        start = at = end - sum(size for _, size in shape[i])
+        if start <= i:
+            raise ValueError("malformed flattened T-tree")
+        groups = []
+        for symbol, size in shape[i]:
+            groups.append((symbol, tuple(trees[at : at + size])))
+            at += size
+        trees[i], end = TTree(labels[i], tuple(groups)), start
+    if end != 1:
+        raise ValueError("malformed flattened T-tree")
+    return trees[0]
 
 
 def _group(children: Sequence[TTree]) -> Groups:

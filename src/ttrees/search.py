@@ -9,12 +9,12 @@ The enumerators stream trees in increasing tree order, lexicographic over
 the T-lists in type order, each by length, then member by member.  So a
 *level* (one type under one height budget) is the positions of an odometer,
 its canonical trees those with sorted T-lists (Beyer & Hedetniemi, 1980;
-Ruskey, *Combinatorial Generation*).  Small levels are drained into tables.
+Ruskey, *Combinatorial Generation*).  A level tables the trees a run reaches
+in it, with their lines, within a budget.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator
@@ -151,35 +151,31 @@ def canonical_removal(tree: TTree) -> TTree:
     return _rise(_trusted_ttree(node.label, shrunk), trail)
 
 
-_TABLE_CHARS = 1 << 16  # text in the level tables of one enumeration: count x top width
+_TABLE_CHARS = 1 << 16  # the lines that the level tables of one enumeration add to their leaves
 
 
 class _Level:
     """The trees of one type under one height budget.  `parts`: (component,
     cap, level below).  A member equal to `top`, the greatest tree, is that
     object, so "cannot grow" is an identity test; `width` is its line's
-    length.  A small level has its trees and lines in `table`, `index`."""
+    length.  `table` holds the trees and lines reached so far, from the
+    leaf on in tree order, and `index` the position of each but the last."""
 
     __slots__ = ("label", "height", "leaf", "parts", "top", "width", "table", "index")
 
     def __init__(self, label: TypeSymbol, height: int, leaf: TTree):
         self.label, self.height, self.leaf = label, height, leaf
-        self.parts = self.top = self.width = self.table = self.index = None
+        self.parts = self.top = self.width = None
+        self.table, self.index = [(leaf, label.name)], {}
 
 
 class _Levels:
-    """The levels one enumeration reaches, made when first reached.  One is
-    tabled, after the levels below it, when its tree count times its top
-    width fits in what is left of `_TABLE_CHARS`.  Both numbers saturate
-    past the budget.  A level of height h has h + 1 trees or more, of width
-    h + 1 or more, unless its type cannot reach that height: so whether it
-    fits is the same at every height from sqrt(budget) + (number of types) on."""
+    """The levels one enumeration reaches, made when first reached.  Their
+    tables share `budget`, the characters of `_TABLE_CHARS` not yet used."""
 
     def __init__(self, problem: StructuralProblem, canonical: bool):
         self.problem, self.canonical, self.budget = problem, canonical, _TABLE_CHARS
         self.made: dict[tuple[int, int], _Level] = {}
-        self.sizes: dict[tuple[int, int], tuple[int, int]] = {}  # count, top width
-        self.clamp = math.isqrt(_TABLE_CHARS) + len(problem.types)
         self.components = [[(c, problem.schema(t, c).max_cardinality, c.rank)
                             for c in problem.component_types(t)] for t in problem.types]
 
@@ -188,61 +184,28 @@ class _Levels:
         level.parts = [(c, cap, self.get((rank, h - 1))) for c, cap, rank in parts if h]
         return level.parts
 
-    def cost(self, rank: int, height: int) -> int:
-        """The level's tree count times its top width, both saturated."""
-        bound, key, sizes = _TABLE_CHARS + 1, (rank, min(height, self.clamp)), self.sizes
-        stack = [key]
-        while stack:
-            rank, h = stack[-1]
-            parts = self.components[rank] if h else []
-            missing = [(c, h - 1) for _, _, c in parts if (c, h - 1) not in sizes]
-            if missing:
-                stack += missing
-                continue
-            count, width = 1, len(self.problem.types[rank].name) + bool(parts)
-            for _, cap, c in parts:
-                trees, top = sizes[c, h - 1]
-                lists = term = 1  # term: the T-lists of exactly i members
-                for i in range(1, cap + 1):
-                    term = term * (trees + i - 1) // i if self.canonical else term * trees
-                    lists += term
-                    if lists >= bound:
-                        break
-                count = min(count * lists, bound)
-                width = min(width + cap * (top + 1), bound)
-            sizes[stack.pop()] = count, width
-        count, width = sizes[key]
-        return count * width
-
     def get(self, key: tuple[int, int]) -> _Level:
-        """The level, made after those below it that may be tabled.  A
-        level of one tree is always tabled, so its top is its leaf."""
-        todo, stack = {}, [key]
-        while stack:
-            rank, h = below = stack.pop()
-            if below not in self.made and below not in todo:
-                todo[below] = self.cost(rank, h)
-                if h and todo[below] <= self.budget:
-                    stack += [(c, h - 1) for _, _, c in self.components[rank]]
-        for rank, h in sorted(todo, key=itemgetter(1)):
+        """The level; one of one tree has its leaf as its top."""
+        level = self.made.get(key)
+        if level is None:
+            rank, h = key
             label = self.problem.types[rank]
-            level = self.made[rank, h] = _Level(label, h, _trusted_ttree(label))
-            if todo[rank, h] <= self.budget or not (h and self.components[rank]):
-                self.budget -= todo[rank, h]
-                level.table = list(_trees(self, level))
-                level.index = {id(tree): i for i, (tree, _) in enumerate(level.table)}
-                level.top, level.width = level.table[-1][0], len(level.table[-1][1])
-        return self.made[key]
+            level = self.made[key] = _Level(label, h, _trusted_ttree(label))
+            if not (h and self.components[rank]):
+                level.top, level.width = level.leaf, len(label.name)
+        return level
 
 
 def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[TTree, str]]:
     """Each tree of `level` with its line, in increasing tree order.  A step
     descends to the least significant position that can grow, from the
-    right: a member not its level's top, or a list not full.  A tabled
-    member steps to the next tree of its table; a list grows by a member.
+    right: a member not its level's top, or a list not full.  A member with
+    a next tree in its level's table steps to it; a list grows by a member.
     Everything after drops to its minimum: later T-lists empty, later
     members leaves, or with `canonical` copies of the stepped member.  Only
-    the path above is rebuilt, and the line from there on."""
+    the path above is rebuilt, and the line from there on.  A member that
+    was the last tree of its table adds its successor and that line, until
+    the first line that does not fit in the budget stops all tables."""
     build, canonical = _trusted_ttree, levels.canonical
     tree, line = level.leaf, level.label.name
     while True:
@@ -271,17 +234,20 @@ def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[TTree, str]]:
                 pieces = ["," if g else "(", ",".join([sub.label.name] * len(members)), ")"]
                 tree, text = build(node.label, groups[:g] + ((symbol, members),)), None
                 break
-            path.append((node, lv, g, members, k - 1))
+            path.append((node, lv, g, members, k - 1, None))
             node, lv = members[k - 1], sub
-            if sub.index is not None:  # the member steps to the next tree of its table
-                i = sub.index[id(node)]
+            i = sub.index.get(id(node))
+            if i is not None:  # the member steps to the next tree of its table
                 at -= len(sub.table[i][1])
                 tree, text = sub.table[i + 1]
                 pieces = [text]
                 break
+            if levels.budget and node is sub.table[-1][0]:  # its successor joins the table
+                path[-1] = path[-1][:5] + (at - len(sub.table[-1][1]),)  # where its line starts
         while path:  # rebuild the path; a rebuilt member equal to its level's top is that top
+            node, above, g, members, i, start = path.pop()
             parts, groups = lv.parts, tree.groups
-            if (lv.table is None and len(groups) == len(parts)
+            if (text is None and len(groups) == len(parts)
                     and groups[-1][1][-1] is parts[-1][2].top and all(
                         len(ms) == cap and all(m is sub.top for m in ms)
                         for (_, ms), (_, cap, sub) in zip(groups, parts))):
@@ -289,7 +255,14 @@ def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[TTree, str]]:
                     lv.top = tree
                     lv.width = len(lv.label.name) + 1 + sum(c * (s.width + 1) for _, c, s in parts)
                 tree = lv.top
-            node, above, g, members, i = path.pop()
+            if start is not None:  # the member was its table's last tree: add this one
+                text = line[start:at] + "".join(pieces)
+                if len(text) > levels.budget:
+                    levels.budget = 0  # no table grows any more
+                else:
+                    levels.budget -= len(text)
+                    lv.index[id(lv.table[-1][0])] = len(lv.table) - 1
+                    lv.table.append((tree, text))
             rest = len(members) - i - 1
             copy = ((text or render_ttree(tree)) if canonical else lv.label.name) if rest else ""
             pieces.append(("," + copy) * rest + ")")

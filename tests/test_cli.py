@@ -76,6 +76,8 @@ def test_count_with_approximation(capsys):
 def test_count_rejects_bad_arguments(capsys):
     assert run(["count", "--depth", "-1", "--branch", "2"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert run(["table", "--pmax", "0", "--kmax", "1"]) == 2
+    assert "table needs p_max >= 1 and k_max >= 1" in capsys.readouterr().err
 
 
 def test_huge_counts_are_refused_up_front(capsys):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -14,6 +16,7 @@ from ttrees import (
     ParseError,
     ProblemError,
     StructuralProblem,
+    TTree,
     UnknownTypeError,
     chain_problem,
     config_to_ttree,
@@ -56,6 +59,13 @@ def test_duplicate_relation_rejected():
             ["PC", "Monitor"],
             [("PC", "Monitor", 1), ("PC", "Monitor", 2)],
         )
+
+
+def test_type_names_and_root_are_checked():
+    with pytest.raises(ProblemError, match="invalid type name 'A B'"):
+        StructuralProblem("A", ["A", "A B"])
+    with pytest.raises(ProblemError, match="root type 'R' is not declared"):
+        StructuralProblem("R", ["A", "B"])
 
 
 def test_duplicate_type_rejected():
@@ -247,6 +257,39 @@ def test_ttree_factory_rejects_mixed_universes(abcd, pc):
         ttree(abcd.type("A"), [parse_ttree("B", abcd), parse_ttree("Monitor", pc)])
 
 
+def test_raw_constructor_checks_its_groups(abcd):
+    a, b, c = (abcd.type(name) for name in "ABC")
+    with pytest.raises(ValueError, match="strictly increasing type order"):
+        TTree(a, ((c, (TTree(c),)), (b, (TTree(b),))))
+    with pytest.raises(ValueError, match="empty T-lists must be omitted"):
+        TTree(a, ((b, ()),))
+    with pytest.raises(ValueError, match="T-list of B contains a C subtree"):
+        TTree(a, ((b, (TTree(c),)),))
+
+
+def test_trees_pickle_and_copy_without_recursion(abcd):
+    # A 10**5-level path is far past the interpreter's recursion limit.
+    problem = StructuralProblem("A", ["A", "B"], [("A", "B", 1), ("B", "B", 1)], allow_cyclic=True)
+    path = ttree(problem.type("B"))
+    for _ in range(10**5 - 2):
+        path = ttree(problem.type("B"), [path])
+    path = ttree(problem.type("A"), [path])
+    small = parse_ttree("A(B(D,D),B,C)", abcd)
+    for tree in (small, path):
+        assert pickle.loads(pickle.dumps(tree)) == tree
+        assert copy.deepcopy(tree) == tree
+    # The flat form is rebuilt through the constructor's checks.
+    rebuild, (labels, shape) = small.__reduce__()
+    assert [label.name for label in labels] == ["A", "B", "B", "C", "D", "D"]
+    with pytest.raises(ValueError, match="T-list of C contains a B subtree"):
+        rebuild(labels[:3] + labels[1:2] + labels[4:], shape)
+    with pytest.raises(ValueError, match="malformed"):
+        rebuild(labels[:1], shape[:1])  # members missing
+    _, (labels, shape) = parse_ttree("A(B)", abcd).__reduce__()
+    with pytest.raises(ValueError, match="malformed"):
+        rebuild(labels + labels[1:], shape + ((),))  # a node no T-list holds
+
+
 def test_node_count_and_height(abcd):
     tree = parse_ttree("A(B(D,D),B,C)", abcd)
     assert tree.node_count == 6
@@ -415,6 +458,10 @@ def test_config_validation_errors(pc):
         )
     with pytest.raises(ConfigError, match="unknown type"):
         make_config([(0, "Spaceship")], [], pc)
+    with pytest.raises(ConfigError, match="configuration has no objects"):
+        make_config([], [])
+    with pytest.raises(ConfigError, match="configuration has no objects"):
+        parse_config("# nothing but a comment\n", pc)
 
 
 def test_config_stores_positions_and_answers_in_ids(pc):

@@ -187,9 +187,10 @@ def closure(problem, max_height, canonical):
     return sorted(reached.values(), key=cmp_to_key(lambda a, b: compare(a, b).value))
 
 
-@pytest.mark.parametrize("table_chars", [None, 0])
+@pytest.mark.parametrize("table_chars", [None, 0, 40])
 def test_enumeration_streams_the_closure_in_tree_order(walk_corpora, monkeypatch, table_chars):
-    # With no room for tables every level is stepped by descending into it.
+    # With no room for tables every level is stepped by descending into it;
+    # with 40 characters the first tables stop growing in mid-level.
     if table_chars is not None:
         monkeypatch.setattr(search, "_TABLE_CHARS", table_chars)
     for problem, max_height in walk_corpora:
@@ -218,19 +219,43 @@ def test_walk_carries_each_tree_line_without_tables(walk_corpora, monkeypatch):
     _assert_lines_carried(walk_corpora)
 
 
-def test_long_chain_enumerates_without_recursion():
-    # 1 000 types, one slot each: the trees are the paths from the root,
-    # and the path to each stepped position is 1 000 levels long at most.
+def test_walk_carries_each_tree_line_in_partly_filled_tables(walk_corpora, monkeypatch):
+    # Members step by lookup up to where their table stopped, then descend.
+    monkeypatch.setattr(search, "_TABLE_CHARS", 40)
+    _assert_lines_carried(walk_corpora)
+
+
+def long_chain():
+    """1 000 types, one slot each: the trees are the paths from the root."""
     names = [f"T{i}" for i in range(1000)]
-    problem = StructuralProblem("T0", names, [(a, b, 1) for a, b in zip(names, names[1:])])
-    heights = [tree.height for tree in enumerate_all(problem)]
+    return StructuralProblem("T0", names, [(a, b, 1) for a, b in zip(names, names[1:])])
+
+
+def test_long_chain_enumerates_without_recursion():
+    # The path to each stepped position is 1 000 levels long at most.
+    heights = [tree.height for tree in enumerate_all(long_chain())]
     assert heights == list(range(1000))
+
+
+@pytest.mark.parametrize("problem, max_height", [
+    (long_chain(), 1000),
+    (StructuralProblem("A", ["A", "B"], [("A", "B", 3), ("B", "B", 3)], allow_cyclic=True), 6),
+], ids=["long-chain", "cyclic"])
+def test_tables_hold_at_most_the_budget(problem, max_height):
+    # The lines that the tables of one enumeration add past their leaves sum
+    # to at most _TABLE_CHARS; both runs stop their tables at that bound.
+    levels, root = search._Levels(problem, canonical=False), problem.root_leaf()
+    trees = search._trees(levels, search._Level(root.label, max_height, root))
+    assert sum(1 for _ in islice(trees, 200_000)) in (1000, 200_000)
+    lines = sum(len(line) for level in levels.made.values() for _, line in level.table[1:])
+    assert levels.budget == 0
+    assert search._TABLE_CHARS * 0.9 < lines <= search._TABLE_CHARS
 
 
 def test_canonical_enumeration_decides_before_building(monkeypatch):
     # Each emitted tree but the root leaf costs one root build: the members
-    # of chain(3, 3)'s root step through the table of their level, drained
-    # once, and no level below is rebuilt.
+    # of chain(3, 3)'s root step through the table of their level, filled
+    # as they first reach its trees, and no level below is rebuilt.
     problem = chain_problem(3, 3)
     roots = built = 0
     real = search._trusted_ttree
