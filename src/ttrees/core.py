@@ -121,9 +121,10 @@ class StructuralProblem:
                 raise ProblemError(
                     f"duplicate relation between {composite!r} and {component!r}"
                 )
-            if max_cardinality < 1:
+            if type(max_cardinality) is not int or max_cardinality < 1:
                 raise ProblemError(
-                    f"relation {composite!r}->{component!r} needs max cardinality >= 1"
+                    f"relation {composite!r}->{component!r} needs an integer max cardinality "
+                    f">= 1, got {max_cardinality!r}"
                 )
             seen_pairs.add((composite, component))
             schemas.append(
@@ -285,11 +286,7 @@ class TTree:
         return hash(render_ttree(self))  # equal trees render alike
 
     def __reduce__(self) -> tuple:
-        # Flat, so that a deep tree pickles without recursion: the labels
-        # breadth first, and each node's T-list types and lengths.
-        nodes = [node for depth in _levels([self]) for node in depth]
-        shape = tuple(tuple((symbol, len(ms)) for symbol, ms in node.groups) for node in nodes)
-        return _unflatten, (tuple(node.label for node in nodes), shape)
+        return config_to_ttree, (ttree_to_config(self),)  # flat, so any depth pickles
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TTree):
@@ -355,25 +352,6 @@ def _levels(roots: list[TTree]) -> list[list[TTree]]:
         if not below:
             return levels
         levels.append(below)
-
-
-def _unflatten(labels: tuple[TypeSymbol, ...], shape: tuple[tuple, ...]) -> TTree:
-    """The tree `TTree.__reduce__` flattened, rebuilt bottom up without
-    recursion, each node through the checks of `TTree(...)`.  Breadth
-    first, the members of the last node's T-lists come last."""
-    trees, end = list(labels), len(labels)
-    for i in range(len(labels) - 1, -1, -1):
-        start = at = end - sum(size for _, size in shape[i])
-        if start <= i:
-            raise ValueError("malformed flattened T-tree")
-        groups = []
-        for symbol, size in shape[i]:
-            groups.append((symbol, tuple(trees[at : at + size])))
-            at += size
-        trees[i], end = TTree(labels[i], tuple(groups)), start
-    if end != 1:
-        raise ValueError("malformed flattened T-tree")
-    return trees[0]
 
 
 def _group(children: Sequence[TTree]) -> Groups:
@@ -611,6 +589,9 @@ def make_config(
     """
     objects, links = list(objects), list(links)
     ids, names = [obj for obj, _ in objects], [name for _, name in objects]
+    if not {int}.issuperset(map(type, ids)):  # a bool is no natural either
+        bad = next(obj for obj in ids if type(obj) is not int or obj < 0)
+        raise ConfigError(f"object ids must be naturals, got {bad!r}")
     return _build_config(ids, names, [s for s, _ in links], [t for _, t in links], problem)
 
 
@@ -744,13 +725,18 @@ def parse_config(text: str, problem: StructuralProblem | None = None) -> ConfigT
 
 
 def config_to_ttree(config: ConfigTree) -> TTree:
-    """Erase object identities, keeping types and child order."""
+    """Erase object identities, keeping types and child order.  Raises
+    ConfigError unless the root and the child lists name every position
+    exactly once, with each position reachable from the root."""
     labels, children = config.labels, config.children
     n = len(labels)
     order = [config.root_position]  # breadth-first, so each node's children are contiguous
+    reached = bytearray(n)
     for p in islice(order, n):
-        order.extend(children[p])
-    if len(order) != n:
+        if 0 <= p < n:
+            reached[p] = 1
+            order.extend(children[p])
+    if len(order) != n or 0 in reached:  # else n entries name n positions, each once
         raise ConfigError("links do not form a tree; build configurations with make_config")
     trees: list = [None] * n
     end = n  # the children of node i end where those of i + 1 start

@@ -17,6 +17,7 @@ from ttrees import (
     ProblemError,
     StructuralProblem,
     TTree,
+    TypeSymbol,
     UnknownTypeError,
     chain_problem,
     config_to_ttree,
@@ -84,8 +85,9 @@ def test_unknown_relation_type_rejected():
 
 
 def test_zero_cardinality_rejected():
-    with pytest.raises(ProblemError, match="cardinality"):
-        StructuralProblem("A", ["A", "B"], [("A", "B", 0)])
+    for cardinality in (0, 2.5, True, "2", None):
+        with pytest.raises(ProblemError, match="cardinality"):
+            StructuralProblem("A", ["A", "B"], [("A", "B", cardinality)])
 
 
 def test_cyclic_problem_needs_opt_in():
@@ -275,19 +277,16 @@ def test_trees_pickle_and_copy_without_recursion(abcd):
         path = ttree(problem.type("B"), [path])
     path = ttree(problem.type("A"), [path])
     small = parse_ttree("A(B(D,D),B,C)", abcd)
-    for tree in (small, path):
+    # One name, two ranks: the configuration carries the symbols themselves.
+    mixed = ttree(TypeSymbol("A", 0), [ttree(TypeSymbol("B", 1)), ttree(TypeSymbol("B", 2))])
+    for tree in (small, path, mixed):
         assert pickle.loads(pickle.dumps(tree)) == tree
         assert copy.deepcopy(tree) == tree
-    # The flat form is rebuilt through the constructor's checks.
-    rebuild, (labels, shape) = small.__reduce__()
-    assert [label.name for label in labels] == ["A", "B", "B", "C", "D", "D"]
-    with pytest.raises(ValueError, match="T-list of C contains a B subtree"):
-        rebuild(labels[:3] + labels[1:2] + labels[4:], shape)
-    with pytest.raises(ValueError, match="malformed"):
-        rebuild(labels[:1], shape[:1])  # members missing
-    _, (labels, shape) = parse_ttree("A(B)", abcd).__reduce__()
-    with pytest.raises(ValueError, match="malformed"):
-        rebuild(labels + labels[1:], shape + ((),))  # a node no T-list holds
+        assert copy.copy(tree) == tree
+    # A tree pickles as its configuration, which config_to_ttree checks.
+    rebuild, (config,) = small.__reduce__()
+    assert rebuild is config_to_ttree and config == ttree_to_config(small)
+    assert [label.name for label in config.labels] == ["A", "B", "B", "C", "D", "D"]
 
 
 def test_node_count_and_height(abcd):
@@ -462,6 +461,9 @@ def test_config_validation_errors(pc):
         make_config([], [])
     with pytest.raises(ConfigError, match="configuration has no objects"):
         parse_config("# nothing but a comment\n", pc)
+    for bad in (1.5, True, "x", None, -1):
+        with pytest.raises(ConfigError, match=re.escape(f"ids must be naturals, got {bad!r}")):
+            make_config([(0, "PC"), (bad, "Monitor"), (-2, "Monitor")], [(0, bad)], pc)
 
 
 def test_config_stores_positions_and_answers_in_ids(pc):
@@ -483,6 +485,20 @@ def test_hand_built_config_that_is_no_tree_is_refused(pc):
     for children in (cycle, unreachable):
         with pytest.raises(ConfigError, match="do not form a tree"):
             config_to_ttree(dataclasses.replace(cfg, children=children))
+    a, b = TypeSymbol("A", 0), TypeSymbol("B", 1)
+    broken = [  # (root position, child positions) over the labels A, B, B
+        (0, ((1, 1), (), ())),  # position 1 listed twice, position 2 never reached
+        (0, ((-1,), ())),
+        (-1, ((), (0,))),
+        (0, ((5,), ())),
+        (3, ((),)),
+        (0, ((1,), (0,))),
+        (0, ((), ())),
+    ]
+    for root, children in broken:
+        n = len(children)
+        with pytest.raises(ConfigError, match="do not form a tree"):
+            config_to_ttree(core.ConfigTree(tuple(range(n)), (a, b, b)[:n], children, root))
 
 
 def test_config_line_diagnostics():
