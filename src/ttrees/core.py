@@ -19,6 +19,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
+from graphlib import CycleError, TopologicalSorter
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -110,14 +111,15 @@ class StructuralProblem:
             raise ProblemError(f"root type {root!r} is not declared")
 
         schemas: list[RelationSchema] = []
-        seen_pairs: set[tuple[str, str]] = set()
+        caps: list[dict[int, int]] = [{} for _ in by_name]  # by composite rank
         for composite, component, max_cardinality in relations:
             for endpoint in (composite, component):
                 if endpoint not in by_name:
                     raise ProblemError(f"relation references unknown type {endpoint!r}")
             if component == root:
                 raise ProblemError(f"root type {root!r} cannot be a component")
-            if (composite, component) in seen_pairs:
+            above, below = by_name[composite], by_name[component]
+            if below.rank in caps[above.rank]:
                 raise ProblemError(
                     f"duplicate relation between {composite!r} and {component!r}"
                 )
@@ -126,43 +128,25 @@ class StructuralProblem:
                     f"relation {composite!r}->{component!r} needs an integer max cardinality "
                     f">= 1, got {max_cardinality!r}"
                 )
-            seen_pairs.add((composite, component))
-            schemas.append(
-                RelationSchema(by_name[composite], by_name[component], max_cardinality)
-            )
+            caps[above.rank][below.rank] = max_cardinality
+            schemas.append(RelationSchema(above, below, max_cardinality))
 
         self.root_type = by_name[root]
         self.types: tuple[TypeSymbol, ...] = tuple(by_name.values())
         self.relations: tuple[RelationSchema, ...] = tuple(schemas)
         self._by_name = by_name
-        self._schemas = {(s.composite.name, s.component.name): s for s in schemas}
-        components: dict[str, list[TypeSymbol]] = {t.name: [] for t in self.types}
-        for s in schemas:
-            components[s.composite.name].append(s.component)
-        self._components = {
-            name: tuple(sorted(cs, key=lambda t: t.rank))
-            for name, cs in components.items()
-        }
-        self.is_cyclic = self._find_cycle()
+        # The table every reader uses: by composite rank, component rank -> cap, in rank order.
+        self._caps = tuple(dict(sorted(below.items())) for below in caps)
+        try:
+            TopologicalSorter(dict(enumerate(self._caps))).prepare()
+            self.is_cyclic = False
+        except CycleError:
+            self.is_cyclic = True
         if self.is_cyclic and not allow_cyclic:
             raise ProblemError(
                 "composition type graph is cyclic; pass allow_cyclic=True and "
                 "enumerate with an explicit height bound"
             )
-
-    def _find_cycle(self) -> bool:
-        # Kahn's algorithm: types that no unfreed relation points to are
-        # freed one by one; a cycle keeps its types from ever being freed.
-        indegree = {t.name: 0 for t in self.types}
-        for s in self.relations:
-            indegree[s.component.name] += 1
-        free = [name for name, degree in indegree.items() if degree == 0]
-        for name in free:
-            for child in self._components[name]:
-                indegree[child.name] -= 1
-                if indegree[child.name] == 0:
-                    free.append(child.name)
-        return len(free) < len(indegree)
 
     def type(self, name: str) -> TypeSymbol:
         try:
@@ -183,10 +167,13 @@ class StructuralProblem:
 
     def component_types(self, symbol: TypeSymbol) -> tuple[TypeSymbol, ...]:
         """Component types of `symbol`, in type order."""
-        return self._components[self.symbol_of(symbol).name]
+        return tuple(map(self.types.__getitem__, self._caps[self.symbol_of(symbol).rank]))
 
     def schema(self, composite: TypeSymbol, component: TypeSymbol) -> RelationSchema | None:
-        return self._schemas.get((composite.name, component.name))
+        """The relation between the types of these names, or None."""
+        above, below = self._by_name.get(composite.name), self._by_name.get(component.name)
+        cap = above and below and self._caps[above.rank].get(below.rank)
+        return RelationSchema(above, below, cap) if cap else None
 
     def root_leaf(self) -> "TTree":
         """The single-node tree labeled with the root type."""
@@ -269,14 +256,20 @@ class TTree:
     groups: Groups = ()
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.label, TypeSymbol) and isinstance(self.groups, tuple)):
+            raise ValueError("a TTree needs a TypeSymbol label and a tuple of groups")
         last_rank = -1
         for symbol, members in self.groups:
+            if not (isinstance(symbol, TypeSymbol) and isinstance(members, tuple)):
+                raise ValueError("a group needs a TypeSymbol and a tuple T-list")
             if symbol.rank <= last_rank:
                 raise ValueError("T-lists must be in strictly increasing type order")
             last_rank = symbol.rank
             if not members:
                 raise ValueError("empty T-lists must be omitted")
             for member in members:
+                if not isinstance(member, TTree):
+                    raise ValueError(f"a T-list member must be a TTree, got {member!r}")
                 if member.label != symbol:
                     raise ValueError(
                         f"T-list of {symbol.name} contains a {member.label.name} subtree"
@@ -386,6 +379,9 @@ def ttree(label: TypeSymbol, children: Iterable[TTree] = ()) -> TTree:
     only when trees from unrelated type universes are mixed.
     """
     children = list(children)
+    for child in children:
+        if not isinstance(child, TTree):
+            raise ValueError(f"a T-list member must be a TTree, got {child!r}")
     return TTree(label, _group(children) if children else ())
 
 
@@ -422,6 +418,15 @@ _PLAIN = re.compile(r"[\w(),\t\n\r\f\v ]*", re.ASCII)
 _UNKNOWN = TypeSymbol("?", -1)
 
 
+def _name_order(names: Iterable) -> dict[str, TypeSymbol]:
+    """The types of input with no problem, in name order; refuses a bad name."""
+    distinct = dict.fromkeys(names)  # in input order
+    bad = [name for name in distinct if type(name) is not str or not _NAME.fullmatch(name)]
+    if bad:
+        raise ConfigError(f"invalid type name {bad[0]!r}")
+    return {name: TypeSymbol(name, rank) for rank, name in enumerate(sorted(distinct))}
+
+
 def parse_ttrees(texts: Sequence[str], problem: StructuralProblem | None = None) -> list[TTree]:
     """Parse several T-tree expressions against one shared type universe.
 
@@ -430,11 +435,8 @@ def parse_ttrees(texts: Sequence[str], problem: StructuralProblem | None = None)
     to name order over all names appearing in `texts`, so the resulting
     trees are mutually comparable.
     """
-    if problem is not None:
-        symbols = problem.types
-    else:
-        names = sorted({name for text in texts for name in _NAME.findall(text)})
-        symbols = tuple(TypeSymbol(name, rank) for rank, name in enumerate(names))
+    names = (name for text in texts for name in _NAME.findall(text))
+    symbols = problem.types if problem is not None else _name_order(names).values()
     # Leaves are immutable, so one leaf per type serves every occurrence.
     leaves = {symbol.name: _trusted_ttree(symbol) for symbol in symbols}
     trees = [_parse(text, leaves, problem) for text in texts]
@@ -502,16 +504,14 @@ def ttree_conforms(tree: TTree, problem: StructuralProblem) -> bool:
     not belong to the problem raise `UnknownTypeError` rather than
     returning False.
     """
-    problem.symbol_of(tree.label)
-    if tree.label != problem.root_type:
+    if problem.symbol_of(tree.label) is not problem.root_type:
         return False
-    stack = [tree]
+    stack, caps = [tree], problem._caps
     while stack:
         node = stack.pop()
         for symbol, members in node.groups:
             problem.symbol_of(symbol)
-            schema = problem.schema(node.label, symbol)
-            if schema is None or len(members) > schema.max_cardinality:
+            if len(members) > caps[node.label.rank].get(symbol.rank, 0):
                 return False
             stack.extend(members)
     return True
@@ -601,9 +601,7 @@ def _build_config(ids, names, sources, targets, problem: StructuralProblem | Non
     n = len(ids)
     if not n:
         raise ConfigError("configuration has no objects")
-    symbols = problem._by_name if problem is not None else {
-        name: TypeSymbol(name, rank) for rank, name in enumerate(sorted(set(names)))
-    }
+    symbols = problem._by_name if problem is not None else _name_order(names)
     order = sorted(range(n), key=ids.__getitem__)  # input indices by ascending id
     ordered = list(map(ids.__getitem__, order))
     labels = list(map(symbols.get, map(names.__getitem__, order)))  # None if unknown
@@ -655,14 +653,13 @@ def _build_config(ids, names, sources, targets, problem: StructuralProblem | Non
                 f"root object must have type {problem.root_type.name!r}, "
                 f"got {labels[root].name!r}"
             )
-        cap = {(s.composite.rank, s.component.rank): s.max_cardinality for s in problem.relations}
-        counts = Counter(zip(heads, map(ranks.__getitem__, tails)))
-        if any(count > cap.get((ranks[p], r), 0) for (p, r), count in counts.items()):
+        caps, counts = problem._caps, Counter(zip(heads, map(ranks.__getitem__, tails)))
+        if any(count > caps[ranks[p]].get(r, 0) for (p, r), count in counts.items()):
             for obj in ids:  # objects in input order, children in link order
                 p, tally = position[obj], Counter()
                 for c in kids[p] or ():
                     tally[ranks[c]] += 1
-                    allowed = cap.get((ranks[p], ranks[c]), 0)
+                    allowed = caps[ranks[p]].get(ranks[c], 0)
                     if tally[ranks[c]] > allowed:
                         raise ConfigError(
                             f"object {obj} exceeds max cardinality {allowed} for {labels[c].name}"

@@ -38,6 +38,9 @@ def _decimal(n: int) -> str:
 
 
 def _validate(depth: int, branch: int) -> None:
+    for name, value in (("depth", depth), ("branching", branch)):
+        if type(value) is not int:  # a bool is no bound either
+            raise ValueError(f"{name} must be an int, got {value!r}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
     if branch < 1:
@@ -200,6 +203,8 @@ class CountTable:
 
 def comparison_table(p_max: int, k_max: int) -> CountTable:
     """Exact N/M grid for 1 <= p <= p_max, 1 <= k <= k_max."""
+    if type(p_max) is not int or type(k_max) is not int:
+        raise ValueError(f"table bounds must be ints, got p_max={p_max!r}, k_max={k_max!r}")
     if p_max < 1 or k_max < 1:
         raise ValueError("table needs p_max >= 1 and k_max >= 1")
     digits = 0.0

@@ -55,9 +55,9 @@ def extension_sites(
             del path[depth - 1 :]
             path.append(step)
         if max_height is None or depth < max_height:
-            for symbol in problem.component_types(node.label):
-                if len(node.tlist(symbol)) < problem.schema(node.label, symbol).max_cardinality:
-                    sites.append(ExtensionSite(tuple(path), symbol))
+            for rank, cap in problem._caps[problem.symbol_of(node.label).rank].items():
+                if len(node.tlist(problem.types[rank])) < cap:
+                    sites.append(ExtensionSite(tuple(path), problem.types[rank]))
         for symbol, members in reversed(node.groups):
             for index in range(len(members) - 1, -1, -1):
                 stack.append((members[index], depth + 1, (symbol, index)))
@@ -176,12 +176,10 @@ class _Levels:
     def __init__(self, problem: StructuralProblem, canonical: bool):
         self.problem, self.canonical, self.budget = problem, canonical, _TABLE_CHARS
         self.made: dict[tuple[int, int], _Level] = {}
-        self.components = [[(c, problem.schema(t, c).max_cardinality, c.rank)
-                            for c in problem.component_types(t)] for t in problem.types]
 
     def open(self, level: _Level) -> list[tuple]:
-        h, parts = level.height, self.components[level.label.rank]
-        level.parts = [(c, cap, self.get((rank, h - 1))) for c, cap, rank in parts if h]
+        h, types, caps = level.height, self.problem.types, self.problem._caps[level.label.rank]
+        level.parts = [(types[r], cap, self.get((r, h - 1))) for r, cap in caps.items() if h]
         return level.parts
 
     def get(self, key: tuple[int, int]) -> _Level:
@@ -191,7 +189,7 @@ class _Levels:
             rank, h = key
             label = self.problem.types[rank]
             level = self.made[key] = _Level(label, h, _trusted_ttree(label))
-            if not (h and self.components[rank]):
+            if not (h and self.problem._caps[rank]):
                 level.top, level.width = level.leaf, len(label.name)
         return level
 
@@ -281,6 +279,8 @@ def _enumerate(
             "problem has a cyclic type graph; enumeration needs a height bound "
             "(max_height or --max-depth)"
         )
+    if max_height is not None and type(max_height) is not int:  # a bool is no bound either
+        raise ValueError(f"height bound must be an int, got {max_height!r}")
     if max_height is not None and max_height < 0:
         raise ValueError(f"height bound must be >= 0, got {max_height}")
     root = problem.root_leaf()

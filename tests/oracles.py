@@ -49,6 +49,54 @@ def all_conforming_trees(
     return trees_of(problem.root_type, max_height)
 
 
+def relation_queries(problem: StructuralProblem) -> tuple[dict, dict, bool]:
+    """What the problem's queries must answer, read from `problem.relations`
+    alone: the components of each composite name, sorted by rank; each
+    relation by its (composite, component) names; and whether the type
+    graph has a cycle, found as a back edge of a depth-first search."""
+    components: dict[str, list[TypeSymbol]] = {}
+    named = {}
+    for relation in problem.relations:
+        components.setdefault(relation.composite.name, []).append(relation.component)
+        named[relation.composite.name, relation.component.name] = relation
+    for symbols in components.values():
+        symbols.sort(key=lambda symbol: symbol.rank)
+    state: dict[str, str] = {}  # "open" while on the search path, then "done"
+    cyclic = False
+    for start in components:
+        if start in state:
+            continue
+        state[start] = "open"
+        path = [(start, iter(components[start]))]
+        while path:
+            name, rest = path[-1]
+            child = next(rest, None)
+            if child is None:
+                state[name] = "done"
+                path.pop()
+            elif state.get(child.name) == "open":
+                cyclic = True
+            elif child.name not in state:
+                state[child.name] = "open"
+                path.append((child.name, iter(components.get(child.name, ()))))
+    return components, named, cyclic
+
+
+def random_problem(rng: random.Random, max_types: int = 6) -> StructuralProblem:
+    """A random problem of 1..`max_types` types whose ranks are not their
+    name order: random relations with caps 1..3, self-loops among them,
+    and sometimes a ring through several types.  May be cyclic."""
+    names = rng.sample([f"T{i}" for i in range(max_types)], rng.randint(1, max_types))
+    parts = names[1:]  # the first name is the root, never a component
+    pairs = {(a, b) for a in names for b in parts if rng.random() < 0.3}
+    if len(parts) >= 2 and rng.random() < 0.3:
+        ring = rng.sample(parts, rng.randint(2, len(parts)))
+        pairs.update(zip(ring, ring[1:] + ring[:1]))
+    relations = [(a, b, rng.randint(1, 3)) for a, b in sorted(pairs)]
+    rng.shuffle(relations)
+    return StructuralProblem(names[0], names, relations, allow_cyclic=True)
+
+
 def isomorphic_oracle(a: TTree, b: TTree) -> bool:
     """Isomorphism by exhaustive matching, independent of the tree order.
 

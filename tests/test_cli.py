@@ -374,6 +374,15 @@ def test_roundtrip_without_problem_uses_name_order(tmp_path, capsys):
     assert capsys.readouterr().out == "A(B,C)\n"
 
 
+def test_roundtrip_without_problem_refuses_bad_type_names(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("obj 0 A\nobj 1 A!\nlink 0 1\n")  # parse_ttree refuses A(A!)
+    assert run(["roundtrip", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid type name 'A!'\n"
+
+
 def test_roundtrip_refuses_ids_that_are_not_ascii_digits(tmp_path, capsys):
     problem, config = tmp_path / "ab.prob", tmp_path / "ab.cfg"
     problem.write_text("root A\ntype A\ntype B\nrel A B max 1\n")

@@ -34,7 +34,7 @@ from ttrees import (
     ttree_to_config,
 )
 from ttrees import core
-from oracles import random_tree
+from oracles import random_problem, random_tree, relation_queries
 from conftest import PC_CONFIG
 
 
@@ -121,6 +121,31 @@ def test_cycle_check_matches_reachability():
         expected = any(x in reach[x] for x in names)
         problem = StructuralProblem("R", names, [(x, y, 1) for x, y in pairs], allow_cyclic=True)
         assert problem.is_cyclic == expected
+
+
+def test_problem_queries_match_the_relations(abcd, pc, wide, cyclic):
+    rng = random.Random(1506)
+    names = [f"T{i}" for i in range(8)]
+    ring = [(a, b, 2) for a, b in zip(names[1:], names[2:] + names[1:2])]
+    problems = [abcd, pc, wide, cyclic, chain_problem(3, 3)]
+    loop = [("X", "Y", 1), ("Y", "Y", 1)]
+    problems.append(StructuralProblem("X", ["X", "Y"], loop, allow_cyclic=True))
+    problems.append(StructuralProblem("T0", names, [("T0", "T1", 1)] + ring, allow_cyclic=True))
+    problems += [random_problem(rng) for _ in range(200)]
+    found = {False: 0, True: 0}
+    for problem in problems:
+        components, named, cyclic = relation_queries(problem)
+        assert problem.is_cyclic == cyclic
+        found[cyclic] += 1
+        for a in problem.types:
+            assert problem.component_types(a) == tuple(components.get(a.name, ()))
+            for b in problem.types:
+                relation = named.get((a.name, b.name))
+                assert problem.schema(a, b) == relation
+                # Relations match by name, so a symbol of another problem finds them too.
+                assert problem.schema(TypeSymbol(a.name, 9), TypeSymbol(b.name, 9)) == relation
+            assert problem.schema(a, TypeSymbol("Undeclared", 0)) is None
+    assert min(found.values()) > 50  # both kinds of graph are well represented
 
 
 def test_problem_file_round_trip(pc):
@@ -267,6 +292,18 @@ def test_raw_constructor_checks_its_groups(abcd):
         TTree(a, ((b, ()),))
     with pytest.raises(ValueError, match="T-list of B contains a C subtree"):
         TTree(a, ((b, (TTree(c),)),))
+    # Symbols and tuples only, so a tree cannot change after it is built.
+    with pytest.raises(ValueError, match="TypeSymbol label and a tuple of groups"):
+        TTree(a, [(b, (TTree(b),))])
+    with pytest.raises(ValueError, match="TypeSymbol label and a tuple of groups"):
+        TTree("A")
+    with pytest.raises(ValueError, match="a group needs a TypeSymbol and a tuple T-list"):
+        TTree(a, ((b, [TTree(b)]),))
+    with pytest.raises(ValueError, match="a group needs a TypeSymbol and a tuple T-list"):
+        TTree(a, (("B", (TTree(b),)),))
+    for build in (lambda: TTree(a, ((b, (1,)),)), lambda: ttree(a, [TTree(b), 1])):
+        with pytest.raises(ValueError, match="a T-list member must be a TTree, got 1"):
+            build()
 
 
 def test_trees_pickle_and_copy_without_recursion(abcd):
@@ -464,6 +501,13 @@ def test_config_validation_errors(pc):
     for bad in (1.5, True, "x", None, -1):
         with pytest.raises(ConfigError, match=re.escape(f"ids must be naturals, got {bad!r}")):
             make_config([(0, "PC"), (bad, "Monitor"), (-2, "Monitor")], [(0, bad)], pc)
+    # Without a problem, type names must be names; the first bad one is named.
+    for names, bad in [(("A", 5), 5), ((5, 6), 5), (("A", "A!", 7), "A!"), (("A", None), None)]:
+        objects = list(enumerate(names))
+        with pytest.raises(ConfigError, match=re.escape(f"invalid type name {bad!r}")):
+            make_config(objects, [(0, obj) for obj, _ in objects[1:]])
+    with pytest.raises(ConfigError, match="invalid type name 'A!'"):
+        parse_config("obj 0 A\nobj 1 A!\nlink 0 1\n")
 
 
 def test_config_stores_positions_and_answers_in_ids(pc):

@@ -79,6 +79,14 @@ def test_argument_validation():
         count_canonical(2, 0)
     with pytest.raises(ValueError):
         approx_canonical(0, 2)
+    # Bounds must be ints; a bool counts as none.
+    for count in (count_all, count_canonical, approx_canonical, chain_problem):
+        for depth, branch in [(2.5, 2), (True, 2), (2, 2.0), (2, None)]:
+            with pytest.raises(ValueError, match="must be an int, got"):
+                count(depth, branch)
+    for p_max, k_max in [(2, 2.5), (True, 2), ("2", 2)]:
+        with pytest.raises(ValueError, match="table bounds must be ints, got"):
+            comparison_table(p_max, k_max)
 
 
 def test_huge_counts_are_refused_up_front():

@@ -326,6 +326,11 @@ def test_cyclic_problem_requires_bound():
         list(enumerate_all(p))
     with pytest.raises(ValueError, match="max_height"):
         list(enumerate_canonical(p))
+    # A bound must be an int, and a bool is none: at 0.5 or inf the walk would never end.
+    for bound in (0.5, float("inf"), True, 2.0):
+        for enumerate_trees in (enumerate_all, enumerate_canonical):
+            with pytest.raises(ValueError, match="height bound must be an int"):
+                enumerate_trees(p, max_height=bound)
     # path-shaped trees X, X(Y), X(Y(Y)), X(Y(Y(Y)))
     assert len(list(enumerate_all(p, max_height=3))) == 4
     assert len(list(enumerate_canonical(p, max_height=3))) == 4
