@@ -134,12 +134,16 @@ def _cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
+_CHUNK_LINES = 4096  # enum lines per write to stdout
+
+
 def _cmd_enum(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
     trees = _enumerate(_load_problem(args.problem), args.max_depth, args.canonical)
-    for _, line in islice(trees, args.limit):
-        print(line)
+    lines = (line for _, line in islice(trees, args.limit))
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        sys.stdout.write("\n".join(chunk + [""]))  # one string per chunk, its last line ended
     return 0
 
 

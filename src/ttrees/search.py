@@ -38,6 +38,17 @@ class ExtensionSite:
     leaf_type: TypeSymbol
 
 
+def _check_height(max_height: int | None, required: bool) -> None:
+    """Refuse a height bound that is not an int >= 0, or none where one is `required`."""
+    if max_height is None and required:
+        raise ValueError("problem has a cyclic type graph; enumeration needs a height bound "
+                         "(max_height or --max-depth)")
+    if max_height is not None and type(max_height) is not int:  # a bool is no bound either
+        raise ValueError(f"height bound must be an int, got {max_height!r}")
+    if max_height is not None and max_height < 0:
+        raise ValueError(f"height bound must be >= 0, got {max_height}")
+
+
 def extension_sites(
     tree: TTree,
     problem: StructuralProblem,
@@ -46,6 +57,7 @@ def extension_sites(
 ) -> list[ExtensionSite]:
     """All sites where a leaf may be added without violating a cardinality
     bound (or the height bound, when given), in depth-first pre-order."""
+    _check_height(max_height, False)
     sites: list[ExtensionSite] = []
     path: list[tuple[TypeSymbol, int]] = []  # the steps to the node visited
     stack: list[tuple] = [(tree, 0, None)]  # node, depth, last step
@@ -203,7 +215,10 @@ def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[TTree, str]]:
     members leaves, or with `canonical` copies of the stepped member.  Only
     the path above is rebuilt, and the line from there on.  A member that
     was the last tree of its table adds its successor and that line, until
-    the first line that does not fit in the budget stops all tables."""
+    the first line that does not fit in the budget stops all tables.  A
+    table step with only ")" to its right, while no table grows, first
+    emits the steps down its table in one batch, but for the last tree: only
+    that one can be the top, and the step past it grows the table."""
     build, canonical = _trusted_ttree, levels.canonical
     tree, line = level.leaf, level.label.name
     while True:
@@ -237,6 +252,15 @@ def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[TTree, str]]:
             i = sub.index.get(id(node))
             if i is not None:  # the member steps to the next tree of its table
                 at -= len(sub.table[i][1])
+                if (i + 2 < len(sub.table) and at + len(sub.table[i][1]) + len(path) == len(line)
+                        and all(start is None for *_, start in path)):  # only ")" after it
+                    trees, texts = zip(*sub.table[i + 1 : -1])
+                    for node, _, g, members, j, _ in reversed(path):
+                        head, symbol, left = node.groups[:g], node.groups[g][0], members[:j]
+                        trees = [build(node.label, head + ((symbol, left + (t,)),)) for t in trees]
+                    prefix, tail = line[:at], ")" * len(path)
+                    yield from zip(trees, [prefix + s + tail for s in texts])
+                    i = len(sub.table) - 2
                 tree, text = sub.table[i + 1]
                 pieces = [text]
                 break
@@ -274,15 +298,7 @@ def _enumerate(
     problem: StructuralProblem, max_height: int | None, canonical: bool
 ) -> Iterator[tuple[TTree, str]]:
     """Each tree, only the canonical ones with `canonical`, with its line."""
-    if problem.is_cyclic and max_height is None:
-        raise ValueError(
-            "problem has a cyclic type graph; enumeration needs a height bound "
-            "(max_height or --max-depth)"
-        )
-    if max_height is not None and type(max_height) is not int:  # a bool is no bound either
-        raise ValueError(f"height bound must be an int, got {max_height!r}")
-    if max_height is not None and max_height < 0:
-        raise ValueError(f"height bound must be >= 0, got {max_height}")
+    _check_height(max_height, problem.is_cyclic)
     root = problem.root_leaf()
     height = len(problem.types) if max_height is None else max_height  # no taller tree conforms
     return _trees(_Levels(problem, canonical), _Level(root.label, height, root))

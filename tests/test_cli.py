@@ -215,8 +215,13 @@ def test_enum_sorted_is_the_walk_in_tree_order(tmp_path, capsys, text, flags, li
          "3d19fc7c06de083024841cf9cda37e75746f8fd1b229d069306932c6311ad838"),
         ("wide", ["--canonical", "--max-depth", "2"],
          "7e717e787fdccae7e28a5ca619841381c293ddf96f668398ade88f4375bac514"),
+        ("cyclic", ["--max-depth", "4"],
+         "8539f0366e79b3bd58ecff5b001b0181b66e0cf207c7f8f4e17a9f8da97fa1e3"),
+        ("cyclic", ["--canonical", "--max-depth", "4"],
+         "c0f94eea58209d34a4406733f2c41551f590586cfc7fe7eea93f37f1d6604294"),
     ],
-    ids=["abcd", "abcd-canonical", "cyclic-depth3", "wide-canonical-depth2"],
+    ids=["abcd", "abcd-canonical", "cyclic-depth3", "wide-canonical-depth2",
+         "cyclic-depth4", "cyclic-canonical-depth4"],
 )
 def test_enum_output_order_is_pinned(request, tmp_path, capsys, name, flags, digest):
     # Increasing tree order: these digests are those of `enum --sorted` at

@@ -90,6 +90,16 @@ def test_removal_examples(abcd):
     )
 
 
+def test_extension_sites_refuses_a_bad_height_bound():
+    # The enumerators' check: at 0.5 the leaf A would get a site for A(B), of height 1.
+    problem = StructuralProblem("A", ["A", "B"], [("A", "B", 1)])
+    tree = parse_ttree("A", problem)
+    for bound, message in ((0.5, "an int"), (True, "an int"), (-1, ">= 0")):
+        with pytest.raises(ValueError, match=f"height bound must be {message}"):
+            extension_sites(tree, problem, max_height=bound)
+    assert extension_sites(tree, problem, max_height=0) == []
+
+
 def test_growth_and_removal_of_deep_path_tree():
     # A 100 000-level path: far deeper than the interpreter's recursion
     # limit, and only its bottom node can grow.
@@ -195,10 +205,13 @@ def test_enumeration_streams_the_closure_in_tree_order(walk_corpora, monkeypatch
         monkeypatch.setattr(search, "_TABLE_CHARS", table_chars)
     for problem, max_height in walk_corpora:
         for canonical in (False, True):
-            trees = [tree for tree, _ in _enumerate(problem, max_height, canonical)]
+            expected = closure(problem, max_height, canonical)
+            # One tree past the closure is enough to fail a stream that never ends.
+            stream = _enumerate(problem, max_height, canonical)
+            trees = [tree for tree, _ in islice(stream, len(expected) + 1)]
             for a, b in zip(trees, trees[1:]):
                 assert compare(a, b) is TreeOrdering.LESS
-            assert trees == closure(problem, max_height, canonical)
+            assert trees == expected
 
 
 def _assert_lines_carried(walk_corpora):
