@@ -27,6 +27,7 @@ from .core import (
     parse_problem,
     parse_ttree,
     parse_ttrees,
+    render_config,
     render_problem,
     render_ttree,
     ttree,
@@ -97,6 +98,7 @@ __all__ = [
     "parse_problem",
     "parse_ttree",
     "parse_ttrees",
+    "render_config",
     "render_problem",
     "render_ttree",
     "ttree",

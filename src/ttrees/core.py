@@ -16,7 +16,6 @@ plain-text formats for all of them.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
@@ -409,11 +408,9 @@ def render_ttree(tree: TTree) -> str:
     return "".join(out)
 
 
-# A token: a name, or any other single non-blank character, or "" at the end.
-_TOKEN = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*|\S|$)")
-# Texts of these characters alone split into the same tokens with str.split, but for
-# runs of name characters that start with a digit, where parsing fails either way.
-_PLAIN = re.compile(r"[\w(),\t\n\r\f\v ]*", re.ASCII)
+# The tokens `_parse` cuts with str.split: a parenthesis or comma, a run of other
+# non-blank characters, or "" at the end.  Used only to locate a fault.
+_TOKEN = re.compile(r"\s*([(),]|[^\s(),]+|$)")
 # Stands in for names the problem does not declare until parsing ends.
 _UNKNOWN = TypeSymbol("?", -1)
 
@@ -449,10 +446,7 @@ def parse_ttrees(texts: Sequence[str], problem: StructuralProblem | None = None)
 
 def _parse(text: str, leaves: dict[str, TTree], problem: StructuralProblem | None) -> TTree:
     # One pass with an explicit stack; each node is built once, at its ')'.
-    if _PLAIN.fullmatch(text):
-        tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split() + [""]
-    else:
-        tokens = _TOKEN.findall(text)
+    tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split() + [""]
     stack: list[tuple] = []  # (label, children) of the enclosing open nodes
     children = None  # members read so far of the innermost open node
     i = 0  # the next token, which must be a name
@@ -525,9 +519,9 @@ class ConfigTree:
     in ascending order.  The object at position p has type `labels[p]` and
     the child positions `children[p]`, ordered by (component type rank,
     object id); the root is at `root_position`.  Equality and hashing are
-    structural.  `root`, `objects`, `types` and `links` (one pair per
-    object, by ascending id), `node_type` and `children_of` speak in object
-    ids.  Use `make_config` / `parse_config` to build validated instances.
+    structural.  `root`, `types` and `links` (one pair per object, by
+    ascending id) speak in object ids.  Use `make_config` / `parse_config`
+    to build validated instances, and `render_config` to write one out.
     """
 
     ids: tuple[int, ...]
@@ -540,10 +534,6 @@ class ConfigTree:
         return self.ids[self.root_position]
 
     @property
-    def objects(self) -> tuple[int, ...]:
-        return self.ids
-
-    @property
     def types(self) -> tuple[tuple[int, TypeSymbol], ...]:
         return tuple(zip(self.ids, self.labels))
 
@@ -551,23 +541,6 @@ class ConfigTree:
     def links(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         ids = self.ids
         return tuple([(obj, tuple([ids[c] for c in cs])) for obj, cs in zip(ids, self.children)])
-
-    def _position(self, obj: int) -> int:
-        """The position of object `obj`, by bisection; KeyError if none."""
-        p = bisect_left(self.ids, obj)
-        if p == len(self.ids) or self.ids[p] != obj:
-            raise KeyError(obj)
-        return p
-
-    def node_type(self, obj: int) -> TypeSymbol:
-        return self.labels[self._position(obj)]
-
-    def children_of(self, obj: int) -> tuple[int, ...]:
-        """The child ids of object `obj`; () if there is no such object."""
-        try:
-            return tuple([self.ids[c] for c in self.children[self._position(obj)]])
-        except KeyError:
-            return ()
 
     def __repr__(self) -> str:
         return f"<ConfigTree root={self.root} objects={len(self.ids)}>"
@@ -721,6 +694,16 @@ def parse_config(text: str, problem: StructuralProblem | None = None) -> ConfigT
     return _build_config(ids, names, sources, targets, problem)
 
 
+def render_config(config: ConfigTree) -> str:
+    """Inverse of `parse_config`: one `obj` line per object by ascending
+    id, then one `link` line per child, in child order."""
+    ids = config.ids
+    lines = [f"obj {obj} {label.name}" for obj, label in zip(ids, config.labels, strict=True)]
+    links = zip(ids, config.children, strict=True)
+    lines += [f"link {obj} {ids[c]}" for obj, below in links for c in below]
+    return "\n".join(lines) + "\n"
+
+
 def config_to_ttree(config: ConfigTree) -> TTree:
     """Erase object identities, keeping types and child order.  Raises
     ConfigError unless the root and the child lists name every position
@@ -729,10 +712,13 @@ def config_to_ttree(config: ConfigTree) -> TTree:
     n = len(labels)
     order = [config.root_position]  # breadth-first, so each node's children are contiguous
     reached = bytearray(n)
-    for p in islice(order, n):
-        if 0 <= p < n:
-            reached[p] = 1
-            order.extend(children[p])
+    try:  # columns of unequal length walk no further than the root
+        for p in islice(order, n if len(children) == n else 0):
+            if 0 <= p < n:
+                reached[p] = 1
+                order.extend(children[p])
+    except TypeError:  # a position that is no int
+        order = []
     if len(order) != n or 0 in reached:  # else n entries name n positions, each once
         raise ConfigError("links do not form a tree; build configurations with make_config")
     trees: list = [None] * n

@@ -1,8 +1,34 @@
 from __future__ import annotations
 
+import signal
+
 import pytest
 
 from ttrees import StructuralProblem, chain_problem, enumerate_all
+
+
+TIME_LIMIT_S = 120  # about 35 times the slowest test
+
+
+@pytest.fixture(autouse=True)
+def time_limit():
+    """Fail a test that runs past `TIME_LIMIT_S`, such as one draining an
+    endless stream, instead of hanging the run.  A no-op where there is no
+    SIGALRM."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test ran past its {TIME_LIMIT_S} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

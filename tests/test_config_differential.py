@@ -1,6 +1,7 @@
 """`make_config` and `config_to_ttree` against the dict-based oracle, and
-`parse_config` against `make_config`, on seeded configurations: scattered
-and shuffled ids, with and without a problem, valid and faulty."""
+`parse_config` against `make_config`, and `render_config` as the inverse
+of `parse_config`, on seeded configurations: scattered and shuffled ids,
+with and without a problem, valid and faulty."""
 
 from __future__ import annotations
 
@@ -14,7 +15,9 @@ from ttrees import (
     config_to_ttree,
     make_config,
     parse_config,
+    render_config,
 )
+from conftest import PC_CONFIG
 from oracles import config_tree_oracle, make_config_oracle, random_tree
 
 CASES_PER_PROBLEM = 1000
@@ -163,7 +166,7 @@ def test_make_config_matches_the_dict_oracle(pc, abcd, wide, cyclic):
                 continue
             root, types, link_pairs = expected
             assert (got.root, got.types, got.links) == expected, (objects, links)
-            assert got.objects == tuple(obj for obj, _ in types)
+            assert got.ids == tuple(obj for obj, _ in types)
             assert config_to_ttree(got) == config_tree_oracle(root, types, link_pairs)
             valid += 1
     assert valid > 1000
@@ -228,3 +231,21 @@ def test_parse_config_reads_files_as_make_config_reads_pairs(pc, abcd, wide, cyc
     # A negative id in a file is refused as a bad id, before make_config sees it.
     for check in [c for c in CHECKS if c != "must be naturals"] + ["bad object id"]:
         assert any(check in message for message in messages), check
+
+
+def test_render_config_inverts_parse_config(pc, abcd, wide, cyclic):
+    rng = random.Random(20030608)
+    problems = [pc, abcd, wide, cyclic, chain_problem(3, 2)]
+    for problem in problems + [None]:
+        for _ in range(CASES_PER_PROBLEM // 2):
+            source: StructuralProblem = problem or rng.choice(problems)
+            objects, links = _materialize(random_tree(source, rng.randint(1, 14), rng), rng)
+            rng.shuffle(objects)
+            rng.shuffle(links)
+            config = make_config(objects, links, problem)
+            assert parse_config(render_config(config), problem) == config, (objects, links)
+    assert render_config(parse_config(PC_CONFIG, pc)) == (
+        "obj 1 PC\nobj 2 Monitor\nobj 3 Supply\nobj 4 Mainboard\n"
+        "obj 5 Processor\nobj 6 Processor\nobj 7 HDisk\nobj 8 HDisk\n"
+        "link 1 2\nlink 1 3\nlink 1 4\nlink 4 5\nlink 4 6\nlink 4 7\nlink 4 8\n"
+    )
