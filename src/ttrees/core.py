@@ -16,7 +16,7 @@ plain-text formats for all of them.
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from itertools import islice
@@ -242,8 +242,10 @@ class TTree:
     `groups` holds one `(component type, T-list)` pair per component type
     that actually has children, in increasing type rank; empty T-lists are
     implicit.  Every member of a T-list is labeled with the group's type.
-    Instances are immutable and compare structurally.  No hash is stored;
-    `hash()` renders the tree, so it costs O(n) per call.
+    Instances are immutable and compare structurally.  The parsers,
+    `config_to_ttree` and `canonicalize` share equal subtrees, and the
+    walkers visit each object once; `is` between subtrees is no promise.
+    No hash is stored; `hash()` renders the tree, so it costs O(n) per call.
 
     Prefer `ttree()` (which groups arbitrary child sequences) or
     `parse_ttree()` to the raw constructor.  Both check their input; the
@@ -283,10 +285,11 @@ class TTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TTree):
             return NotImplemented
-        pairs = [(self, other)]
+        pairs, partner = [(self, other)], {}  # a's last partner, by id, so shared pairs meet once
         while pairs:
             a, b = pairs.pop()
-            if a is not b:
+            if a is not b and partner.get(id(a)) is not b:
+                partner[id(a)] = b
                 # Identity first: TypeSymbol.__eq__ is a Python call.
                 if a.label is not b.label and a.label != b.label or len(a.groups) != len(b.groups):
                     return False
@@ -308,7 +311,7 @@ class TTree:
 
     @property
     def node_count(self) -> int:
-        return sum(map(len, _levels([self])))
+        return sum(map(len, _levels([self], distinct=False)))
 
     @property
     def height(self) -> int:
@@ -335,15 +338,19 @@ def _trusted_ttree(label: TypeSymbol, groups: Groups = ()) -> TTree:
     return tree
 
 
-def _levels(roots: list[TTree]) -> list[list[TTree]]:
+def _shared_ttree(table: dict, label: TypeSymbol, children: list[TTree]) -> TTree:
+    """One label's node with these children, from `table` by their ids or made."""
+    key = id(children[0]) if len(children) == 1 else (*map(id, children),)
+    return table.get(key) or table.setdefault(key, _trusted_ttree(label, _group(children)))
+
+
+def _levels(roots: list[TTree], distinct: bool = True) -> list[list[TTree]]:
     """The nodes of the forest `roots` depth by depth: the members of one
-    depth's T-lists, in order, make up the next depth."""
+    depth's T-lists make up the next, each object once if `distinct`."""
     levels = [roots]
-    while True:
-        below = [m for node in levels[-1] for _, members in node.groups for m in members]
-        if not below:
-            return levels
-        levels.append(below)
+    while below := [m for node in levels[-1] for _, ms in node.groups for m in ms]:
+        levels.append(list({id(m): m for m in below}.values()) if distinct else below)
+    return levels
 
 
 def _group(children: Sequence[TTree]) -> Groups:
@@ -389,14 +396,22 @@ def render_ttree(tree: TTree) -> str:
     if not tree.groups:
         return tree.label.name
     out: list[str] = []
-    stack: list = [tree]  # inner nodes and text still to emit, last first
+    spans: dict[int, slice] = {}  # the pieces of `out` an inner node's text fills
+    stack: list = [tree]  # inner nodes, text and node ends still to emit, last first
     while stack:
         item = stack.pop()
         if item.__class__ is str:
             out.append(item)
             continue
-        children = [m for _, members in item.groups for m in members]
-        stack.append(")")
+        if item.__class__ is tuple:  # a node's end: its ")" closes its span
+            out.append(")")
+            spans[item[0]] = slice(item[1], len(out))
+            continue
+        if id(item) in spans:  # a shared subtree: copy its pieces, not its text
+            out += out[spans[id(item)]]
+            continue
+        children = g[0][1] if len(g := item.groups) == 1 else [m for _, ms in g for m in ms]
+        stack.append((id(item), len(out)))
         for child in reversed(children[1:]):
             stack.append(child if child.groups else child.label.name)
             stack.append(",")
@@ -434,9 +449,10 @@ def parse_ttrees(texts: Sequence[str], problem: StructuralProblem | None = None)
     """
     names = (name for text in texts for name in _NAME.findall(text))
     symbols = problem.types if problem is not None else _name_order(names).values()
-    # Leaves are immutable, so one leaf per type serves every occurrence.
+    # Trees are immutable, so one leaf per type and one node per distinct subtree serve all texts.
     leaves = {symbol.name: _trusted_ttree(symbol) for symbol in symbols}
-    trees = [_parse(text, leaves, problem) for text in texts]
+    shared: dict[int, dict] = defaultdict(dict)  # per label id, for `_shared_ttree`
+    trees = [_parse(text, leaves, problem, shared) for text in texts]
     # Syntax errors in any text take precedence over unknown names.
     unknown = [name for name, leaf in leaves.items() if leaf.label is _UNKNOWN]
     if unknown:
@@ -444,8 +460,8 @@ def parse_ttrees(texts: Sequence[str], problem: StructuralProblem | None = None)
     return trees
 
 
-def _parse(text: str, leaves: dict[str, TTree], problem: StructuralProblem | None) -> TTree:
-    # One pass with an explicit stack; each node is built once, at its ')'.
+def _parse(text: str, leaves: dict, problem: StructuralProblem | None, shared: dict) -> TTree:
+    # One pass with an explicit stack; each distinct node is built once, at its ')'.
     tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split() + [""]
     stack: list[tuple] = []  # (label, children) of the enclosing open nodes
     children = None  # members read so far of the innermost open node
@@ -470,7 +486,7 @@ def _parse(text: str, leaves: dict[str, TTree], problem: StructuralProblem | Non
             if tokens[i] != ")":
                 raise _error("expected ',' or ')'" if tokens[i] else "unclosed '('", text, i)
             label, parent = stack.pop()
-            node, children = _trusted_ttree(label, _group(children)), parent
+            node, children = _shared_ttree(shared[id(label)], label, children), parent
             i += 1
         else:
             if tokens[i]:
@@ -500,14 +516,17 @@ def ttree_conforms(tree: TTree, problem: StructuralProblem) -> bool:
     """
     if problem.symbol_of(tree.label) is not problem.root_type:
         return False
-    stack, caps = [tree], problem._caps
+    stack, seen, caps, own = [tree], set(), problem._caps, set(map(id, problem.types))
     while stack:
         node = stack.pop()
-        for symbol, members in node.groups:
-            problem.symbol_of(symbol)
-            if len(members) > caps[node.label.rank].get(symbol.rank, 0):
-                return False
-            stack.extend(members)
+        if id(node) not in seen:  # a subtree met again was checked where first met
+            seen.add(id(node))
+            for symbol, members in node.groups:
+                if id(symbol) not in own:  # the problem's own symbols pass as they are
+                    problem.symbol_of(symbol)
+                if len(members) > caps[node.label.rank].get(symbol.rank, 0):
+                    return False
+                stack.extend(members)
     return True
 
 
@@ -722,17 +741,18 @@ def config_to_ttree(config: ConfigTree) -> TTree:
     if len(order) != n or 0 in reached:  # else n entries name n positions, each once
         raise ConfigError("links do not form a tree; build configurations with make_config")
     trees: list = [None] * n
-    end = n  # the children of node i end where those of i + 1 start
-    leaf = None
+    shared: dict[int, dict] = defaultdict(dict)  # per label id, for `_shared_ttree`
+    leaves: dict[int, TTree] = {}  # by label id
+    end, leaf = n, None  # the children of node i end where those of i + 1 start
     for i in range(n - 1, -1, -1):
         p = order[i]
-        size = len(children[p])
+        label, size = labels[p], len(children[p])
         if size:
-            trees[i] = _trusted_ttree(labels[p], _group(trees[end - size : end]))
+            trees[i] = _shared_ttree(shared[id(label)], label, trees[end - size : end])
             end -= size
         else:
-            if leaf is None or leaf.label is not labels[p]:
-                leaf = _trusted_ttree(labels[p])  # shared by runs of equal leaves
+            if leaf is None or leaf.label is not label:  # runs of equal leaves skip the dict
+                leaf = leaves.get(id(label)) or leaves.setdefault(id(label), _trusted_ttree(label))
             trees[i] = leaf
     return trees[0]
 

@@ -95,13 +95,16 @@ def compare(a: TTree, b: TTree) -> TreeOrdering:
 
 
 def _is_canonical(tree: TTree, count: list[int] | None) -> bool:
-    stack = [tree]
+    stack, seen = [tree], set()  # a subtree met again was checked where first met
     while stack:
-        for _, members in stack.pop().groups:
-            for x, y in zip(members, members[1:]):
-                if _compare(x, y, count) is _GREATER:
-                    return False
-            stack.extend(members)
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            for _, members in node.groups:
+                for x, y in zip(members, members[1:]) if len(members) > 1 else ():
+                    if x is not y and _compare(x, y, count) is _GREATER:
+                        return False
+                stack.extend(members)
     return True
 
 
@@ -116,14 +119,15 @@ def is_canonical_counted(tree: TTree) -> tuple[bool, int]:
     The count is the number of (node, node) comparison steps, the measure
     in which the check is quasilinear: sorted-list verification compares
     adjacent subtrees only, and each such comparison stops at the first
-    structural difference.
+    structural difference.  A shared subtree is checked once, and adjacent
+    members that are one object are not compared.
     """
     count = [0]
     result = _is_canonical(tree, count)
     return result, count[0]
 
 
-def _class_codes(roots: list[TTree]) -> Iterator[tuple[list[TTree], list[int], list[int]]]:
+def _class_codes(roots: list[TTree]) -> Iterator[tuple[list[TTree], dict, dict[int, int]]]:
     """Isomorphism class codes of the forest `roots`, one depth at a time,
     deepest first (Aho, Hopcroft & Ullman, 1974).
 
@@ -131,25 +135,25 @@ def _class_codes(roots: list[TTree]) -> Iterator[tuple[list[TTree], list[int], l
     codes of its members; a depth's codes number its distinct keys in
     sorted order.  Siblings share a depth, so same-labeled siblings' codes
     order as `compare` orders their canonical forms, and equal codes mean
-    isomorphic subtrees.  Yields each depth's nodes, their codes and the
-    codes of the depth below.
+    isomorphic subtrees.  Yields each depth's distinct node objects, their
+    codes by `id`, and the codes of the depth below.
     """
-    codes: list[int] = []
+    codes: dict[int, int] = {}
     for level in reversed(_levels(roots)):
-        below, keys, start = codes, [], 0
-        for node in level:
+        below, keys = codes, []
+        for node in level if len(level) > 1 else ():  # a lone node needs no key
             key = []
             for symbol, members in node.groups:
-                end = start + len(members)
                 # A T-list where the other node has none makes a node
                 # greater, so earlier types must sort last: negate ranks.
-                key.append((-symbol.rank, symbol.name, len(members), tuple(sorted(below[start:end]))))
-                start = end
+                ranked = tuple(sorted(map(below.__getitem__, map(id, members))))
+                key.append((-symbol.rank, symbol.name, len(members), ranked))
             keys.append(tuple(key))
+        keys = keys or [None]  # ...as its code is 0
         code_of = dict.fromkeys(keys)
         for code, key in enumerate(sorted(code_of)):
             code_of[key] = code
-        codes = list(map(code_of.__getitem__, keys))
+        codes = dict(zip(map(id, level), map(code_of.__getitem__, keys)))
         yield level, codes, below
 
 
@@ -157,24 +161,24 @@ def canonicalize(tree: TTree) -> TTree:
     """The canonical representative of `tree`'s isomorphism class.
 
     Every T-list is sorted by the class codes of its members, which order
-    like `compare` on canonical forms; each node is built at most once and
-    unchanged subtrees are reused.  The result is canonical and the
-    operation is idempotent.
+    like `compare` on canonical forms.  Each depth gets one object per label
+    and class, reusing a node that is canonical already, so isomorphic
+    subtrees are one object.  The result is canonical and idempotent.
     """
-    canonical_below: list[TTree] = []
-    for level, _, below in _class_codes([tree]):
-        canonical, start = [], 0
+    canonical: dict[int, TTree] = {}  # by id of a node of the depth below
+    for level, codes, below in _class_codes([tree]):
+        canonical_below, canonical, made = canonical, {}, {}
         for node in level:
-            groups, same = [], True
-            for symbol, members in node.groups:
-                end = start + len(members)
-                order = sorted(range(start, end), key=below.__getitem__)
-                groups.append((symbol, tuple([canonical_below[i] for i in order])))
-                same = same and all(map(is_, groups[-1][1], members))
-                start = end
-            canonical.append(node if same else _trusted_ttree(node.label, tuple(groups)))
-        canonical_below = canonical
-    return canonical_below[0]
+            key = (id(node.label), codes[id(node)])  # codes hold no label of their own
+            if key not in made:
+                groups, same = [], True
+                for symbol, members in node.groups:
+                    ordered = sorted(map(id, members), key=below.__getitem__)
+                    groups.append((symbol, tuple(map(canonical_below.__getitem__, ordered))))
+                    same = same and all(map(is_, groups[-1][1], members))
+                made[key] = node if same else _trusted_ttree(node.label, tuple(groups))
+            canonical[id(node)] = made[key]
+    return canonical[id(tree)]
 
 
 def isomorphic(a: TTree, b: TTree) -> bool:
@@ -186,4 +190,4 @@ def isomorphic(a: TTree, b: TTree) -> bool:
         return False
     for _, codes, _ in _class_codes([a, b]):
         pass
-    return codes[0] == codes[1]
+    return codes[id(a)] == codes[id(b)]

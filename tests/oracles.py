@@ -5,15 +5,27 @@ product construction instead of graph search, ordering is by a nested
 tuple key instead of the recursive comparison, isomorphism classes are
 materialized by brute-force permutation, and isomorphism is decided by
 exhaustive matching instead of canonical forms.  Configurations are
-validated on dicts keyed by object id instead of dense positions.
+validated on dicts keyed by object id instead of dense positions.  Tree
+text is read by recursive descent over characters instead of a split
+token list and an explicit stack, and trees are rebuilt without sharing
+by `ttree()`.
 """
 
 from __future__ import annotations
 
 import random
+import re
 from itertools import permutations, product, zip_longest
 
-from ttrees import ConfigError, StructuralProblem, TTree, TypeSymbol, UnknownTypeError, ttree
+from ttrees import (
+    ConfigError,
+    ParseError,
+    StructuralProblem,
+    TTree,
+    TypeSymbol,
+    UnknownTypeError,
+    ttree,
+)
 
 
 def all_conforming_trees(
@@ -328,3 +340,63 @@ def config_tree_oracle(root: int, types, links) -> TTree:
         return ttree(type_of[obj], [build(child) for child in children_of[obj]])
 
     return build(root)
+
+
+def parse_texts_oracle(texts, problem: StructuralProblem | None = None) -> list[TTree]:
+    """`parse_ttrees` by recursive descent over characters: the same trees,
+    or the same error at the same position.  A token is "(", ")", ",", or
+    a run of other characters that are not blank; the end of a text reads
+    as an empty token.  Unknown names are reported after every text
+    parsed, the first one met first."""
+    found, names = [], []
+    for text in texts:
+        def token(i: int) -> tuple[int, int]:  # the token at or after i, as (start, end)
+            while i < len(text) and text[i].isspace():
+                i += 1
+            if i < len(text) and text[i] in "(),":
+                return i, i + 1
+            end = i
+            while end < len(text) and not text[end].isspace() and text[end] not in "(),":
+                end += 1
+            return i, end
+
+        def node(i: int) -> tuple[tuple, int]:  # (name, children), and where the node ends
+            start, i = token(i)
+            if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", text[start:i]):
+                raise ParseError("expected a type name", start)
+            names.append(text[start:i])
+            start, end = token(i)
+            if text[start:end] != "(":
+                return (names[-1], []), i
+            name, children, i = names[-1], [], end
+            while True:
+                child, i = node(i)
+                children.append(child)
+                start, i = token(i)
+                if text[start:i] == ")":
+                    return (name, children), i
+                if text[start:i] != ",":
+                    raise ParseError("expected ',' or ')'" if i > start else "unclosed '('", start)
+
+        tree, i = node(0)
+        if token(i)[0] < len(text):
+            raise ParseError("unexpected trailing input", token(i)[0])
+        found.append(tree)
+    if problem is None:
+        types = {name: TypeSymbol(name, rank) for rank, name in enumerate(sorted(set(names)))}
+    else:
+        types = {t.name: t for t in problem.types}
+        for name in names:
+            if name not in types:
+                raise UnknownTypeError(f"unknown type {name!r}")
+
+    def build(parsed: tuple) -> TTree:
+        name, children = parsed
+        return ttree(types[name], map(build, children))
+
+    return list(map(build, found))
+
+
+def unshared(tree: TTree) -> TTree:
+    """An equal tree with no node object used twice, built by `ttree()`."""
+    return ttree(tree.label, [unshared(m) for _, members in tree.groups for m in members])

@@ -285,6 +285,10 @@ def test_09_canonicity_check_cost():
         failures.append("canonicalized tree not canonical")
     if elapsed >= 1.0:
         failures.append(f"100k-node check took {elapsed:.3f}s, budget 1s")
+    # Its 10**5 nodes hold a few thousand distinct subtrees, each checked once.
+    steps = is_canonical_counted(big)[1]
+    if steps > 15_000:
+        failures.append(f"100k-node check took {steps} compare steps, budget 15 000")
 
     sizes = [100, 1_000, 10_000, 100_000]
     ratios = []

@@ -36,7 +36,7 @@ from ttrees import (
     ttree_to_config,
 )
 from ttrees import core
-from oracles import random_problem, random_tree, relation_queries
+from oracles import parse_texts_oracle, random_problem, random_tree, relation_queries
 from conftest import PC_CONFIG
 
 
@@ -248,18 +248,16 @@ TEXT_PIECES = (
 )
 
 
-def _parse_outcome(texts, problem) -> str:
+def _parse_outcome(texts, problem, parse=parse_ttrees) -> str:
     try:
-        return " ".join(map(render_ttree, parse_ttrees(texts, problem)))
+        return " ".join(map(render_ttree, parse(texts, problem)))
     except (ParseError, UnknownTypeError) as error:
         return f"{type(error).__name__}: {error}"
 
 
-def test_tree_text_outcomes_are_pinned(abcd):
-    """The trees, or the error and its position, of 3 000 random texts,
-    pinned by one digest.  A text is cut into tokens by str.split, and a
-    run of non-blank characters other than parentheses and commas is one
-    token, so "D\u00e9" is one bad name."""
+def _text_cases(abcd) -> list:
+    """3 000 random (texts, problem) inputs: edited renderings of random
+    trees and random runs of `TEXT_PIECES`, alone or before "A(B)"."""
     rng = random.Random(20030606)
     cases = []
     for _ in range(3000):
@@ -273,11 +271,29 @@ def test_tree_text_outcomes_are_pinned(abcd):
         text = "".join(rng.choice(["", " ", "\n "]) + p for p in pieces)
         text += rng.choice(["", " ", "\t\n"])
         cases.append(([text] if rng.random() < 0.7 else [text, "A(B)"], rng.choice([abcd, None])))
-    outcomes = [_parse_outcome(texts, problem) for texts, problem in cases]
+    return cases
+
+
+def test_tree_text_outcomes_are_pinned(abcd):
+    """The trees, or the error and its position, of 3 000 random texts,
+    pinned by one digest.  A text is cut into tokens by str.split, and a
+    run of non-blank characters other than parentheses and commas is one
+    token, so "D\u00e9" is one bad name."""
+    outcomes = [_parse_outcome(texts, problem) for texts, problem in _text_cases(abcd)]
     errors = [outcome.split(":")[0] for outcome in outcomes if "Error: " in outcome]
     assert len(outcomes) - len(errors) > 500 and errors.count("ParseError") > 500
     digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
     assert digest == "3c569d142f895308202604e83ca4f86d50d295f0d2d3bc5c36aaaa55785e08a0"
+
+
+def test_tree_text_matches_the_recursive_descent_oracle(abcd):
+    """The same 3 000 texts give the oracle's trees, or its error at its
+    position, whether parsed alone or together."""
+    for texts, problem in _text_cases(abcd):
+        expected = _parse_outcome(texts, problem, parse_texts_oracle)
+        assert _parse_outcome(texts, problem) == expected, texts
+        if "Error: " not in expected:
+            assert parse_ttrees(texts, problem) == parse_texts_oracle(texts, problem)
 
 
 def test_parse_without_problem_orders_types_by_name():
