@@ -205,7 +205,10 @@ _COMMANDS = {
 
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one command; returns the process exit status."""
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors and --help, after argparse has printed
+        return exc.code
     # What a command builds is acyclic, so reference counting frees all of
     # it; cyclic collector passes would only walk its live trees again.
     enabled = gc.isenabled()

@@ -20,7 +20,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class ProblemError(ValueError):
@@ -49,20 +49,11 @@ class ConfigError(ValueError):
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
-@dataclass(frozen=True, eq=False)
-class TypeSymbol:
+class TypeSymbol(NamedTuple):
     """A component type; `rank` is its position in the total type order."""
 
     name: str
     rank: int
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (
-            isinstance(other, TypeSymbol) and self.rank == other.rank and self.name == other.name
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.rank))
 
     def __str__(self) -> str:
         return self.name
@@ -290,11 +281,10 @@ class TTree:
             a, b = pairs.pop()
             if a is not b and partner.get(id(a)) is not b:
                 partner[id(a)] = b
-                # Identity first: TypeSymbol.__eq__ is a Python call.
-                if a.label is not b.label and a.label != b.label or len(a.groups) != len(b.groups):
+                if a.label != b.label or len(a.groups) != len(b.groups):
                     return False
                 for (ta, la), (tb, lb) in zip(a.groups, b.groups):
-                    if ta is not tb and ta != tb or len(la) != len(lb):
+                    if ta != tb or len(la) != len(lb):
                         return False
                     pairs.extend(zip(la, lb))
         return True
@@ -451,7 +441,7 @@ def parse_ttrees(texts: Sequence[str], problem: StructuralProblem | None = None)
     symbols = problem.types if problem is not None else _name_order(names).values()
     # Trees are immutable, so one leaf per type and one node per distinct subtree serve all texts.
     leaves = {symbol.name: _trusted_ttree(symbol) for symbol in symbols}
-    shared: dict[int, dict] = defaultdict(dict)  # per label id, for `_shared_ttree`
+    shared: dict[TypeSymbol, dict] = defaultdict(dict)  # per label, for `_shared_ttree`
     trees = [_parse(text, leaves, problem, shared) for text in texts]
     # Syntax errors in any text take precedence over unknown names.
     unknown = [name for name, leaf in leaves.items() if leaf.label is _UNKNOWN]
@@ -486,7 +476,7 @@ def _parse(text: str, leaves: dict, problem: StructuralProblem | None, shared: d
             if tokens[i] != ")":
                 raise _error("expected ',' or ')'" if tokens[i] else "unclosed '('", text, i)
             label, parent = stack.pop()
-            node, children = _shared_ttree(shared[id(label)], label, children), parent
+            node, children = _shared_ttree(shared[label], label, children), parent
             i += 1
         else:
             if tokens[i]:
@@ -516,13 +506,13 @@ def ttree_conforms(tree: TTree, problem: StructuralProblem) -> bool:
     """
     if problem.symbol_of(tree.label) is not problem.root_type:
         return False
-    stack, seen, caps, own = [tree], set(), problem._caps, set(map(id, problem.types))
+    stack, seen, caps, own = [tree], set(), problem._caps, set(problem.types)
     while stack:
         node = stack.pop()
         if id(node) not in seen:  # a subtree met again was checked where first met
             seen.add(id(node))
             for symbol, members in node.groups:
-                if id(symbol) not in own:  # the problem's own symbols pass as they are
+                if symbol not in own:  # the problem's own symbols pass as they are
                     problem.symbol_of(symbol)
                 if len(members) > caps[node.label.rank].get(symbol.rank, 0):
                     return False
@@ -741,18 +731,18 @@ def config_to_ttree(config: ConfigTree) -> TTree:
     if len(order) != n or 0 in reached:  # else n entries name n positions, each once
         raise ConfigError("links do not form a tree; build configurations with make_config")
     trees: list = [None] * n
-    shared: dict[int, dict] = defaultdict(dict)  # per label id, for `_shared_ttree`
-    leaves: dict[int, TTree] = {}  # by label id
+    shared: dict[TypeSymbol, dict] = defaultdict(dict)  # per label, for `_shared_ttree`
+    leaves: dict[TypeSymbol, TTree] = {}
     end, leaf = n, None  # the children of node i end where those of i + 1 start
     for i in range(n - 1, -1, -1):
         p = order[i]
         label, size = labels[p], len(children[p])
         if size:
-            trees[i] = _shared_ttree(shared[id(label)], label, trees[end - size : end])
+            trees[i] = _shared_ttree(shared[label], label, trees[end - size : end])
             end -= size
         else:
             if leaf is None or leaf.label is not label:  # runs of equal leaves skip the dict
-                leaf = leaves.get(id(label)) or leaves.setdefault(id(label), _trusted_ttree(label))
+                leaf = leaves.get(label) or leaves.setdefault(label, _trusted_ttree(label))
             trees[i] = leaf
     return trees[0]
 

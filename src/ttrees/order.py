@@ -59,7 +59,7 @@ def _compare(a: TTree, b: TTree, count: list[int] | None) -> TreeOrdering:
                 if ta.rank != tb.rank:
                     # The tree with children of the earlier type is greater.
                     return _GREATER if ta.rank < tb.rank else _LESS
-                if ta is not tb and ta != tb:
+                if ta != tb:
                     raise ValueError(
                         f"types {ta.name!r} and {tb.name!r} share rank {ta.rank}; "
                         "trees come from incompatible type universes"
@@ -169,7 +169,7 @@ def canonicalize(tree: TTree) -> TTree:
     for level, codes, below in _class_codes([tree]):
         canonical_below, canonical, made = canonical, {}, {}
         for node in level:
-            key = (id(node.label), codes[id(node)])  # codes hold no label of their own
+            key = (node.label, codes[id(node)])  # codes hold no label of their own
             if key not in made:
                 groups, same = [], True
                 for symbol, members in node.groups:

@@ -487,9 +487,20 @@ def test_collector_is_paused_during_a_command_and_restored(tmp_path, monkeypatch
 
 
 def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run(["count", "--depth", "2"])
-    assert exc.value.code == 2
+    assert run(["count", "--depth", "2"]) == 2
+
+
+def test_argparse_exits_come_back_as_status(capsys):
+    assert run(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: ttrees")
+    assert run(["count", "--depth", "x", "--branch", "2"]) == 2
+    assert "invalid int value" in capsys.readouterr().err
+    # An expression that starts with "-" reads as an option...
+    assert run(["check", "-A"]) == 2
+    assert "usage:" in capsys.readouterr().err
+    # ...unless "--" ends the options; then the parser refuses it.
+    assert run(["check", "--", "-A"]) == 2
+    assert "expected a type name" in capsys.readouterr().err
 
 
 def test_deep_path_tree_through_every_tree_command(tmp_path, capsys):

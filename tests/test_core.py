@@ -407,6 +407,39 @@ def test_conforms_rejects_foreign_labels(pc, abcd):
         ttree_conforms(foreign, pc)
 
 
+def test_conforms_checks_every_child_label(pc):
+    root, monitor = pc.root_type, pc.type("Monitor")
+    # Equal to the problem's own symbol: the same type, though another object.
+    twin = TypeSymbol(monitor.name, monitor.rank)
+    assert ttree_conforms(ttree(root, [ttree(twin)]), pc)
+    for foreign in (TypeSymbol("Monitor", 99), TypeSymbol("Undeclared", monitor.rank)):
+        with pytest.raises(UnknownTypeError):
+            ttree_conforms(ttree(root, [ttree(foreign)]), pc)
+
+
+def test_trees_with_other_root_labels_are_unequal(abcd):
+    b, c, d = (abcd.type(name) for name in "BCD")
+    assert TTree(b) != TTree(c)
+    assert TTree(b) != TTree(TypeSymbol("B", 9))
+    assert TTree(b, ((d, (TTree(d),)),)) != TTree(c, ((d, (TTree(d),)),))
+    assert TTree(b) == TTree(TypeSymbol("B", b.rank))
+
+
+def test_type_symbols_are_values():
+    b, again = TypeSymbol("B", 1), TypeSymbol("B", 1)
+    assert b is not again and b == again and hash(b) == hash(again)
+    assert TypeSymbol("B", 1) != TypeSymbol("B", 2)
+    assert TypeSymbol("B", 1) != TypeSymbol("C", 1)
+    assert b == ("B", 1) and str(b) == "B"
+    for copied in (pickle.loads(pickle.dumps(b)), copy.copy(b), copy.deepcopy(b)):
+        assert copied == b and type(copied) is TypeSymbol
+    # Equal symbols from two parses are one dict and set key.
+    left, right = parse_ttree("A(B)"), parse_ttree("A(B)")
+    assert left.label is not right.label
+    assert {left.label: 1, right.label: 2} == {left.label: 2}
+    assert len({left.groups[0][0], right.groups[0][0]}) == 1
+
+
 def test_edge_without_relation_is_nonconforming(abcd):
     tree = ttree(abcd.type("A"), [ttree(abcd.type("D"))])
     assert not ttree_conforms(tree, abcd)

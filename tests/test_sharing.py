@@ -14,6 +14,7 @@ import pytest
 
 from ttrees import (
     StructuralProblem,
+    TypeSymbol,
     canonicalize,
     chain_problem,
     config_to_ttree,
@@ -22,6 +23,7 @@ from ttrees import (
     parse_ttree,
     parse_ttrees,
     render_ttree,
+    ttree,
     ttree_conforms,
     ttree_to_config,
 )
@@ -123,3 +125,11 @@ def test_canonicalize_makes_one_object_per_class(abcd, cyclic):
     assert render_ttree(canonicalize(tree)) == "A(B(B),B(B,B(B)))"
     assert isomorphic(tree, parse_ttree("A(B(B),B(B,B(B)))", cyclic))
     assert not is_canonical(tree)
+
+
+def test_canonicalize_shares_members_whose_labels_are_equal():
+    # Two separate but equal B symbols label one type, so one class.
+    a, b, again, c = TypeSymbol("A", 0), TypeSymbol("B", 1), TypeSymbol("B", 1), TypeSymbol("C", 2)
+    tree = ttree(a, [ttree(b, [ttree(c)]), ttree(again, [ttree(c)])])
+    first, second = canonicalize(tree).groups[0][1]
+    assert first is second
