@@ -70,9 +70,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="emit only canonical trees (one per isomorphism class)",
     )
     enum.add_argument(
-        "--sorted", action="store_true", help="no effect: trees come in increasing tree order"
-    )
-    enum.add_argument(
         "--max-depth",
         type=int,
         default=None,

@@ -283,8 +283,8 @@ class TTree:
                 partner[id(a)] = b
                 if a.label != b.label or len(a.groups) != len(b.groups):
                     return False
-                for (ta, la), (tb, lb) in zip(a.groups, b.groups):
-                    if ta != tb or len(la) != len(lb):
+                for (_, la), (_, lb) in zip(a.groups, b.groups):  # members carry the types
+                    if len(la) != len(lb):
                         return False
                     pairs.extend(zip(la, lb))
         return True

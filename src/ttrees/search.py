@@ -7,10 +7,10 @@ a configurator builds on.
 
 The enumerators stream trees in increasing tree order, lexicographic over
 the T-lists in type order, each by length, then member by member.  So a
-*level* (one type under one height budget) is the positions of an odometer,
-its canonical trees those with sorted T-lists (Beyer & Hedetniemi, 1980;
-Ruskey, *Combinatorial Generation*).  A level tables the trees a run reaches
-in it, with their lines, within a budget.
+*level* (one type under one height budget, or none when unbounded) is the
+positions of an odometer, its canonical trees those with sorted T-lists
+(Beyer & Hedetniemi, 1980; Ruskey, *Combinatorial Generation*).  A level
+tables the trees a run reaches in it, with their lines, within a budget.
 """
 
 from __future__ import annotations
@@ -167,15 +167,15 @@ _TABLE_CHARS = 1 << 16  # the lines that the level tables of one enumeration add
 
 
 class _Level:
-    """The trees of one type under one height budget.  `parts`: (component,
-    cap, level below).  A member equal to `top`, the greatest tree, is that
-    object, so "cannot grow" is an identity test; `width` is its line's
-    length.  `table` holds the trees and lines reached so far, from the
-    leaf on in tree order, and `index` the position of each but the last."""
+    """The trees of one type under one height budget, or none if unbounded.
+    `parts`: (component, cap, level below).  A member equal to `top`, the
+    greatest tree, is that object, so "cannot grow" is an identity test;
+    `width` is its line's length.  `table` holds the trees and lines reached
+    so far, from the leaf on in tree order, and `index` the position of each but the last."""
 
     __slots__ = ("label", "height", "leaf", "parts", "top", "width", "table", "index")
 
-    def __init__(self, label: TypeSymbol, height: int, leaf: TTree):
+    def __init__(self, label: TypeSymbol, height: int | None, leaf: TTree):
         self.label, self.height, self.leaf = label, height, leaf
         self.parts = self.top = self.width = None
         self.table, self.index = [(leaf, label.name)], {}
@@ -187,21 +187,22 @@ class _Levels:
 
     def __init__(self, problem: StructuralProblem, canonical: bool):
         self.problem, self.canonical, self.budget = problem, canonical, _TABLE_CHARS
-        self.made: dict[tuple[int, int], _Level] = {}
+        self.made: dict[tuple[int, int | None], _Level] = {}
 
     def open(self, level: _Level) -> list[tuple]:
         h, types, caps = level.height, self.problem.types, self.problem._caps[level.label.rank]
-        level.parts = [(types[r], cap, self.get((r, h - 1))) for r, cap in caps.items() if h]
+        below = None if h is None else h - 1
+        level.parts = [(types[r], cap, self.get((r, below))) for r, cap in caps.items() if h != 0]
         return level.parts
 
-    def get(self, key: tuple[int, int]) -> _Level:
+    def get(self, key: tuple[int, int | None]) -> _Level:
         """The level; one of one tree has its leaf as its top."""
         level = self.made.get(key)
         if level is None:
             rank, h = key
             label = self.problem.types[rank]
             level = self.made[key] = _Level(label, h, _trusted_ttree(label))
-            if not (h and self.problem._caps[rank]):
+            if h == 0 or not self.problem._caps[rank]:
                 level.top, level.width = level.leaf, len(label.name)
         return level
 
@@ -299,9 +300,8 @@ def _enumerate(
 ) -> Iterator[tuple[TTree, str]]:
     """Each tree, only the canonical ones with `canonical`, with its line."""
     _check_height(max_height, problem.is_cyclic)
-    root = problem.root_leaf()
-    height = len(problem.types) if max_height is None else max_height  # no taller tree conforms
-    return _trees(_Levels(problem, canonical), _Level(root.label, height, root))
+    levels = _Levels(problem, canonical)
+    return _trees(levels, levels.get((problem.root_type.rank, max_height)))
 
 
 def enumerate_all(problem: StructuralProblem, *, max_height: int | None = None) -> Iterator[TTree]:

@@ -170,7 +170,7 @@ def test_enum_counts_match_counting(tmp_path, capsys):
 
 
 def test_enum_sorted_stream_is_strictly_increasing(abcd_file, capsys):
-    assert run(["enum", str(abcd_file), "--canonical", "--sorted"]) == 0
+    assert run(["enum", str(abcd_file), "--canonical"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     trees = parse_ttrees(lines)
     for a, b in zip(trees, trees[1:]):
@@ -193,7 +193,7 @@ def test_enum_sorted_is_the_walk_in_tree_order(tmp_path, capsys, text, flags, li
     assert run(["enum", str(path), *flags]) == 0
     walk_lines = capsys.readouterr().out.splitlines()
     assert len(set(walk_lines)) == len(walk_lines)
-    argv = ["enum", str(path), "--sorted", *flags]
+    argv = ["enum", str(path), *flags]
     assert run(argv + ([] if limit is None else ["--limit", str(limit)])) == 0
     lines = capsys.readouterr().out.splitlines()
 
@@ -229,9 +229,8 @@ def test_enum_output_order_is_pinned(request, tmp_path, capsys, name, flags, dig
     # order is checked against an order found another way.
     path = tmp_path / f"{name}.prob"
     path.write_text(render_problem(request.getfixturevalue(name)))
-    for sort in ([], ["--sorted"]):
-        assert run(["enum", str(path), *flags, *sort]) == 0
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+    assert run(["enum", str(path), *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_enum_streams_from_a_deep_bound_at_once(tmp_path, capsys):
@@ -247,6 +246,17 @@ def test_enum_streams_from_a_deep_bound_at_once(tmp_path, capsys):
         assert deep == capsys.readouterr().out
         assert deep.splitlines()[-1] == "X(" + "Y(" * 8 + "Y" + ")" * 9
         assert elapsed < 1, f"enum took {elapsed:.2f}s, budget 1s"
+
+
+def test_enum_refuses_the_sorted_flag(tmp_path, capsys):
+    # Trees always come in increasing tree order; `--sorted` is no option.
+    path = tmp_path / "p.prob"
+    path.write_text(ABCD_PROBLEM)
+    assert run(["enum", "--sorted", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: ttrees" in captured.err
+    assert "unrecognized arguments: --sorted" in captured.err
 
 
 def test_enum_into_a_closed_pipe(tmp_path):
@@ -579,7 +589,7 @@ def _tree_outputs(tmp_path, capsys):
     for argv in [
         ["enum", str(abcd)],
         ["enum", str(abcd), "--canonical"],
-        ["enum", str(cyclic), "--sorted", "--max-depth", "3"],
+        ["enum", str(cyclic), "--max-depth", "3"],
         ["check", *with_abcd, "A(B(D),B,C)"],
         ["canon", *with_abcd, "A(B(D),B,C)"],
         ["iso", *with_abcd, "A(B(D),B,C)", "A(C,B,B(D))"],

@@ -43,14 +43,8 @@ def test_enumeration_confirms_disputed_cell():
     assert len(list(enumerate_all(chain_problem(2, 4)))) == 781
 
 
-@pytest.mark.slow
-def test_enumeration_confirms_deep_disputed_cell():
-    # About a second: enumerates all 621436 trees of the (3, 3) chain
-    assert sum(1 for _ in enumerate_all(chain_problem(3, 3))) == 621_436
-
-
 def test_enumeration_confirms_deep_disputed_cell_by_default():
-    # The slow test above, in the default suite now that it takes about 1 s.
+    # About a second: enumerates all 621436 trees of the (3, 3) chain
     assert sum(1 for _ in enumerate_all(chain_problem(3, 3))) == 621_436
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import random
 from functools import cmp_to_key
 from itertools import islice
 
@@ -26,7 +28,7 @@ from ttrees import (
 )
 from ttrees import search
 from ttrees.search import _enumerate
-from oracles import all_conforming_trees
+from oracles import all_conforming_trees, random_problem
 
 
 def cyclic_problem() -> StructuralProblem:
@@ -265,10 +267,44 @@ def test_tables_hold_at_most_the_budget(problem, max_height):
     assert search._TABLE_CHARS * 0.9 < lines <= search._TABLE_CHARS
 
 
+def test_an_unbounded_run_makes_one_level_per_type(monkeypatch):
+    # B is reachable at depths 1 and 2; without a height bound it is one
+    # level, with one table and one top.
+    problem = StructuralProblem("R", ["R", "A", "B"], [("R", "A", 1), ("R", "B", 1), ("A", "B", 1)])
+    made = []
+
+    class Recorded(search._Levels):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_Levels", Recorded)
+    for canonical in (False, True):
+        lines = [line for _, line in _enumerate(problem, None, canonical)]
+        assert lines == ["R", "R(B)", "R(A)", "R(A,B)", "R(A(B))", "R(A(B),B)"]
+        assert sorted(made.pop().made) == [(0, None), (1, None), (2, None)]
+        assert not made
+
+
+def test_random_problem_streams_are_pinned():
+    # The first 2 000 lines of each stream of 300 random problems, in both
+    # modes: at one random bound, and unbounded when the problem is acyclic.
+    rng, digest = random.Random(23), hashlib.sha256()
+    for _ in range(300):
+        problem = random_problem(rng)
+        for bound in [rng.randint(0, 4)] + ([] if problem.is_cyclic else [None]):
+            for canonical in (False, True):
+                for _, line in islice(_enumerate(problem, bound, canonical), 2000):
+                    digest.update(line.encode() + b"\n")
+                digest.update(b"\n")
+    assert digest.hexdigest() == "fd2ae9e789f52f88bc59d21c7b3807e1177a9b2fe4f39e1f2fafd6cda53264f7"
+
+
 def test_canonical_enumeration_decides_before_building(monkeypatch):
-    # Each emitted tree but the root leaf costs one root build: the members
-    # of chain(3, 3)'s root step through the table of their level, filled
-    # as they first reach its trees, and no level below is rebuilt.
+    # Each emitted tree costs one root build, the root leaf included, which
+    # its level makes: the members of chain(3, 3)'s root step through the
+    # table of their level, filled as they first reach its trees, and no
+    # level below is rebuilt.
     problem = chain_problem(3, 3)
     roots = built = 0
     real = search._trusted_ttree
@@ -282,7 +318,7 @@ def test_canonical_enumeration_decides_before_building(monkeypatch):
     monkeypatch.setattr(search, "_trusted_ttree", counted)
     emitted = sum(1 for _ in enumerate_canonical(problem))
     assert emitted == 8436
-    assert roots == 8435
+    assert roots == 8436
     assert built <= 8_500
 
 
