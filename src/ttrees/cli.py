@@ -41,6 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "composition T-trees.",
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    parser.set_defaults(parsers=commands.choices)  # so `run` reports with a subcommand's usage
     with_problem = argparse.ArgumentParser(add_help=False)
     with_problem.add_argument("--problem", type=Path, help="problem file for type names")
 
@@ -203,7 +204,9 @@ _COMMANDS = {
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one command; returns the process exit status."""
     try:
-        args = _build_parser().parse_args(argv)
+        args, extra = _build_parser().parse_known_args(argv)
+        if extra:  # options the chosen subcommand does not take
+            args.parsers[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:  # usage errors and --help, after argparse has printed
         return exc.code
     # What a command builds is acyclic, so reference counting frees all of

@@ -92,7 +92,7 @@ class StructuralProblem:
     ):
         by_name: dict[str, TypeSymbol] = {}
         for index, name in enumerate(types):
-            if not _NAME.fullmatch(name):
+            if type(name) is not str or not _NAME.fullmatch(name):
                 raise ProblemError(f"invalid type name {name!r}")
             if name in by_name:
                 raise ProblemError(f"duplicate type {name!r}")
@@ -413,9 +413,6 @@ def render_ttree(tree: TTree) -> str:
     return "".join(out)
 
 
-# The tokens `_parse` cuts with str.split: a parenthesis or comma, a run of other
-# non-blank characters, or "" at the end.  Used only to locate a fault.
-_TOKEN = re.compile(r"\s*([(),]|[^\s(),]+|$)")
 # Stands in for names the problem does not declare until parsing ends.
 _UNKNOWN = TypeSymbol("?", -1)
 
@@ -460,7 +457,7 @@ def _parse(text: str, leaves: dict, problem: StructuralProblem | None, shared: d
         leaf = leaves.get(tokens[i])
         if leaf is None:
             if problem is None or not _NAME.fullmatch(tokens[i]):
-                raise _error("expected a type name", text, i)
+                raise _error("expected a type name", text, tokens[: i + 1])
             leaf = leaves[tokens[i]] = _trusted_ttree(_UNKNOWN)
         i += 1
         if tokens[i] == "(":
@@ -474,21 +471,24 @@ def _parse(text: str, leaves: dict, problem: StructuralProblem | None, shared: d
             if tokens[i] == ",":
                 break
             if tokens[i] != ")":
-                raise _error("expected ',' or ')'" if tokens[i] else "unclosed '('", text, i)
+                fault = "expected ',' or ')'" if tokens[i] else "unclosed '('"
+                raise _error(fault, text, tokens[: i + 1])
             label, parent = stack.pop()
             node, children = _shared_ttree(shared[label], label, children), parent
             i += 1
         else:
             if tokens[i]:
-                raise _error("unexpected trailing input", text, i)
+                raise _error("unexpected trailing input", text, tokens[: i + 1])
             return node
         i += 1
 
 
-def _error(message: str, text: str, index: int) -> ParseError:
-    """A ParseError at the token of `text` numbered `index`."""
-    token = next(islice(_TOKEN.finditer(text), index, None))
-    return ParseError(message, token.start(1))
+def _error(message: str, text: str, tokens: list[str]) -> ParseError:
+    """A ParseError at the last of `tokens`, those `_parse` cut from `text` up to a fault."""
+    end = 0  # where the previous token ends; only blanks lie between tokens
+    for token in tokens[:-1]:
+        end = text.index(token, end) + len(token)
+    return ParseError(message, text.index(tokens[-1], end) if tokens[-1] else len(text))
 
 
 def parse_ttree(text: str, problem: StructuralProblem | None = None) -> TTree:

@@ -91,15 +91,20 @@ def _rise(node: TTree, trail: tuple | None) -> TTree:
     return node
 
 
-def apply_extension(tree: TTree, site: ExtensionSite) -> TTree:
-    """The unit extension of `tree` at `site`."""
+def _walk(tree: TTree, site: ExtensionSite) -> tuple[TTree, tuple | None]:
+    """The node of `tree` that `site.path` leads to, and its trail for `_rise`."""
     node, trail = tree, None
     for symbol, index in site.path:
         g = next((g for g, (t, _) in enumerate(node.groups) if t == symbol), None)
-        if g is None or index >= len(node.groups[g][1]):
+        if g is None or not 0 <= index < len(node.groups[g][1]):
             raise ValueError(f"site {site} does not address a node of this tree")
-        trail = (node, g, index, trail)
-        node = node.groups[g][1][index]
+        node, trail = node.groups[g][1][index], (node, g, index, trail)
+    return node, trail
+
+
+def apply_extension(tree: TTree, site: ExtensionSite) -> TTree:
+    """The unit extension of `tree` at `site`."""
+    node, trail = _walk(tree, site)
     groups = [(t, m) for t, m in node.groups if t != site.leaf_type]
     groups.append((site.leaf_type, node.tlist(site.leaf_type) + (_trusted_ttree(site.leaf_type),)))
     groups.sort(key=lambda pair: pair[0].rank)
@@ -121,20 +126,14 @@ def is_canonical_incremental(tree: TTree, site: ExtensionSite) -> bool:
     `is_canonical(tree)` whenever the contract holds (violations are not
     detected).
     """
-    node = tree
-    for symbol, index in site.path:
-        members = node.tlist(symbol)
-        # The grown subtree moved up in the order, so only its right
-        # neighbour can now be out of place.
-        if index + 1 < len(members):
-            if _compare(members[index], members[index + 1], None) is _GREATER:
-                return False
-        node = members[index]
-    members = node.tlist(site.leaf_type)
-    if len(members) >= 2:
-        # The new leaf sits at the end and is minimal for its type, so the
-        # list stays sorted only if its predecessor is also a leaf.
-        if _compare(members[-2], members[-1], None) is _GREATER:
+    node, trail = _walk(tree, site)
+    members = node.tlist(site.leaf_type)  # the new leaf is last and minimal, so must follow a leaf
+    if len(members) >= 2 and _compare(members[-2], members[-1], None) is _GREATER:
+        return False
+    while trail is not None:  # a grown subtree can be out of place only before its right neighbour
+        node, g, i, trail = trail
+        members = node.groups[g][1]
+        if i + 1 < len(members) and _compare(members[i], members[i + 1], None) is _GREATER:
             return False
     return True
 

@@ -255,7 +255,7 @@ def test_enum_refuses_the_sorted_flag(tmp_path, capsys):
     assert run(["enum", "--sorted", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "usage: ttrees" in captured.err
+    assert "usage: ttrees enum" in captured.err  # the options `enum` does take
     assert "unrecognized arguments: --sorted" in captured.err
 
 

@@ -71,6 +71,11 @@ def test_type_names_and_root_are_checked():
         StructuralProblem("R", ["A", "B"])
 
 
+def test_a_type_name_that_is_no_str_is_refused():
+    with pytest.raises(ProblemError, match="invalid type name 1"):
+        StructuralProblem("A", ["A", 1])
+
+
 def test_duplicate_type_rejected():
     with pytest.raises(ProblemError, match="duplicate type"):
         StructuralProblem("A", ["A", "B", "B"])

@@ -8,6 +8,7 @@ from itertools import islice
 import pytest
 
 from ttrees import (
+    ExtensionSite,
     StructuralProblem,
     TreeOrdering,
     apply_extension,
@@ -76,11 +77,16 @@ def test_extension_sites_address_every_node(abcd):
 
 
 def test_apply_extension_rejects_bad_site(abcd):
-    tree = parse_ttree("A(B)", abcd)
-    sites = extension_sites(parse_ttree("A(B,B)", abcd), abcd)
-    deep = [s for s in sites if s.path and s.path[0][1] == 1]
-    with pytest.raises(ValueError, match="does not address"):
-        apply_extension(tree, deep[0])
+    # Each site leaves A(B(D),B): an index past the B list, a negative index
+    # (which Python would count from the end), and C, which has no list there.
+    tree = parse_ttree("A(B(D),B)", abcd)
+    b, c, d = (abcd.type(name) for name in "BCD")
+    for path in [((b, 2),), ((b, -1),), ((c, 0),)]:
+        site = ExtensionSite(path, d)
+        with pytest.raises(ValueError, match="does not address"):
+            apply_extension(tree, site)
+        with pytest.raises(ValueError, match="does not address"):
+            is_canonical_incremental(tree, site)
 
 
 def test_removal_examples(abcd):
