@@ -14,7 +14,7 @@ import gc
 import os
 import sys
 import traceback
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
 
@@ -34,14 +34,23 @@ from .order import canonicalize, is_canonical, isomorphic
 from .search import _enumerate, canonical_removal
 
 
+class _Subcommand(argparse.ArgumentParser):
+    """A subcommand's parser, which refuses what it does not take with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttrees",
         description="Canonical forms, enumeration, and exact counting of "
         "composition T-trees.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-    parser.set_defaults(parsers=commands.choices)  # so `run` reports with a subcommand's usage
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
     with_problem = argparse.ArgumentParser(add_help=False)
     with_problem.add_argument("--problem", type=Path, help="problem file for type names")
 
@@ -138,8 +147,9 @@ _CHUNK_LINES = 4096  # enum lines per write to stdout
 def _cmd_enum(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 0:
         raise ValueError(f"--limit must be >= 0, got {args.limit}")
-    trees = _enumerate(_load_problem(args.problem), args.max_depth, args.canonical)
-    lines = (line for _, line in islice(trees, args.limit))
+    chunks = _enumerate(_load_problem(args.problem), args.max_depth, args.canonical)
+    # Only the lines of a batch are read, so none of its trees is built.
+    lines = islice(chain.from_iterable(lines for _, lines in chunks), args.limit)
     while chunk := list(islice(lines, _CHUNK_LINES)):
         sys.stdout.write("\n".join(chunk + [""]))  # one string per chunk, its last line ended
     return 0
@@ -204,9 +214,7 @@ _COMMANDS = {
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one command; returns the process exit status."""
     try:
-        args, extra = _build_parser().parse_known_args(argv)
-        if extra:  # options the chosen subcommand does not take
-            args.parsers[args.command].error(f"unrecognized arguments: {' '.join(extra)}")
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors and --help, after argparse has printed
         return exc.code
     # What a command builds is acyclic, so reference counting frees all of

@@ -97,14 +97,18 @@ class StructuralProblem:
             if name in by_name:
                 raise ProblemError(f"duplicate type {name!r}")
             by_name[name] = TypeSymbol(name, index)
-        if root not in by_name:
+        if type(root) is not str or root not in by_name:  # `in` fails on an unhashable root
             raise ProblemError(f"root type {root!r} is not declared")
 
         schemas: list[RelationSchema] = []
         caps: list[dict[int, int]] = [{} for _ in by_name]  # by composite rank
-        for composite, component, max_cardinality in relations:
+        for relation in relations:
+            try:
+                composite, component, max_cardinality = relation
+            except (TypeError, ValueError):
+                raise ProblemError(f"relation {relation!r} needs three fields") from None
             for endpoint in (composite, component):
-                if endpoint not in by_name:
+                if type(endpoint) is not str or endpoint not in by_name:
                     raise ProblemError(f"relation references unknown type {endpoint!r}")
             if component == root:
                 raise ProblemError(f"root type {root!r} cannot be a component")

@@ -16,8 +16,10 @@ tables the trees a run reaches in it, with their lines, within a budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, combinations_with_replacement, islice, product, repeat, starmap
+from math import comb
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .core import StructuralProblem, TTree, TypeSymbol, _trusted_ttree, render_ttree
 from .order import _compare, TreeOrdering
@@ -206,23 +208,54 @@ class _Levels:
         return level
 
 
-def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[TTree, str]]:
-    """Each tree of `level` with its line, in increasing tree order.  A step
-    descends to the least significant position that can grow, from the
-    right: a member not its level's top, or a list not full.  A member with
-    a next tree in its level's table steps to it; a list grows by a member.
-    Everything after drops to its minimum: later T-lists empty, later
-    members leaves, or with `canonical` copies of the stepped member.  Only
-    the path above is rebuilt, and the line from there on.  A member that
-    was the last tree of its table adds its successor and that line, until
-    the first line that does not fit in the budget stops all tables.  A
-    table step with only ")" to its right, while no table grows, first
-    emits the steps down its table in one batch, but for the last tree: only
-    that one can be the top, and the step past it grows the table."""
+def _states(table: list, lo: int, hi: int, r: int, canonical: bool, side: int) -> Iterator[tuple]:
+    """A run's states in tree order, as one side (0 tree, 1 line) of its `r`
+    members' table entries: the first from `lo` to `hi - 2`, the others over
+    `table[:hi]`, or with `canonical` from the first member's entry on."""
+    column = [entry[side] for entry in table[:hi]]
+    if canonical:
+        return islice(combinations_with_replacement(column[lo:], r), comb(hi - lo + r - 1, r) - 1)
+    return product(column[lo:-1], *[column] * (r - 1))
+
+
+def _batch(path: list, run: tuple, prefix: str) -> tuple[Iterator[TTree], Iterator[str]]:
+    """The trees and the lines of a run's states, each built when read: the
+    trees along `path`, the lines from `prefix` on."""
+    heads = [(node.label, node.groups[:g], node.groups[g][0], members[:j])
+             for node, _, g, members, j, _ in reversed(path)]
+    tail = ")" * len(path)
+
+    def trees() -> Iterator[TTree]:
+        (label, groups, symbol, left), *above = heads
+        for members in _states(*run, 0):
+            tree = _trusted_ttree(label, groups + ((symbol, left + members),))
+            for up_label, up_groups, up_symbol, up_left in above:
+                tree = _trusted_ttree(up_label, up_groups + ((up_symbol, up_left + (tree,)),))
+            yield tree
+
+    texts = chain.from_iterable(starmap(_states, [(*run, 1)]))  # made when first read
+    return trees(), map("".join, zip(repeat(prefix), map(",".join, texts), repeat(tail)))
+
+
+def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[Iterable[TTree], Iterable[str]]]:
+    """Each tree of `level` with its line, in increasing tree order, in
+    chunks `(trees, lines)`.  A step descends to the least significant
+    position that can grow, from the right: a member not its level's top, or
+    a list not full.  A member with a next tree in its level's table steps to
+    it; a list grows by a member.  Everything after drops to its minimum:
+    later T-lists empty, later members leaves, or with `canonical` copies of
+    the stepped member.  Only the path above is rebuilt, and the line from
+    there on.  A member that was the last tree of its table adds its
+    successor and that line, until the first line that does not fit in the
+    budget stops all tables.  A step is a chunk of one tree.  A table step
+    with only tops of its list and ")" to its right, while no table grows,
+    is first a batch of the run's later states, if its table is complete or
+    no top follows, but for those whose first member is the table's last
+    tree: only that one can be the top, and stepping past it grows a table."""
     build, canonical = _trusted_ttree, levels.canonical
     tree, line = level.leaf, level.label.name
     while True:
-        yield tree, line
+        yield (tree,), (line,)
         path, node, lv, at = [], tree, level, len(line)  # `at`: where the scanned text ends
         while True:
             groups = node.groups
@@ -234,7 +267,7 @@ def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[TTree, str]]:
                 if g and groups[g - 1][0] is symbol:
                     g -= 1
                     members = groups[g][1]
-                k = len(members)
+                k, stop = len(members), at  # `stop`: where the list's text ends
                 while k and members[k - 1] is sub.top:
                     k -= 1
                     at -= sub.width + 1
@@ -252,14 +285,11 @@ def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[TTree, str]]:
             i = sub.index.get(id(node))
             if i is not None:  # the member steps to the next tree of its table
                 at -= len(sub.table[i][1])
-                if (i + 2 < len(sub.table) and at + len(sub.table[i][1]) + len(path) == len(line)
-                        and all(start is None for *_, start in path)):  # only ")" after it
-                    trees, texts = zip(*sub.table[i + 1 : -1])
-                    for node, _, g, members, j, _ in reversed(path):
-                        head, symbol, left = node.groups[:g], node.groups[g][0], members[:j]
-                        trees = [build(node.label, head + ((symbol, left + (t,)),)) for t in trees]
-                    prefix, tail = line[:at], ")" * len(path)
-                    yield from zip(trees, [prefix + s + tail for s in texts])
+                if (i + 2 < len(sub.table) and (k == len(members) or sub.table[-1][0] is sub.top)
+                        and len(line) - stop == len(path)  # only ")" after the run
+                        and all(start is None for *_, start in path)):
+                    run = (sub.table, i + 1, len(sub.table), len(members) - k + 1, canonical)
+                    yield _batch(path, run, line[:at])
                     i = len(sub.table) - 2
                 tree, text = sub.table[i + 1]
                 pieces = [text]
@@ -296,8 +326,8 @@ def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[TTree, str]]:
 
 def _enumerate(
     problem: StructuralProblem, max_height: int | None, canonical: bool
-) -> Iterator[tuple[TTree, str]]:
-    """Each tree, only the canonical ones with `canonical`, with its line."""
+) -> Iterator[tuple[Iterable[TTree], Iterable[str]]]:
+    """Each tree, only the canonical ones with `canonical`, with its line, in chunks."""
     _check_height(max_height, problem.is_cyclic)
     levels = _Levels(problem, canonical)
     return _trees(levels, levels.get((problem.root_type.rank, max_height)))
@@ -306,7 +336,7 @@ def _enumerate(
 def enumerate_all(problem: StructuralProblem, *, max_height: int | None = None) -> Iterator[TTree]:
     """Every conforming T-tree exactly once, in increasing tree order.
     `max_height` bounds tree height; cyclic type graphs need it."""
-    return map(itemgetter(0), _enumerate(problem, max_height, canonical=False))
+    return chain.from_iterable(map(itemgetter(0), _enumerate(problem, max_height, canonical=False)))
 
 
 def enumerate_canonical(
@@ -314,4 +344,4 @@ def enumerate_canonical(
 ) -> Iterator[TTree]:
     """Every canonical conforming T-tree, one per isomorphism class, in
     increasing tree order: `enumerate_all` over sorted T-lists only."""
-    return map(itemgetter(0), _enumerate(problem, max_height, canonical=True))
+    return chain.from_iterable(map(itemgetter(0), _enumerate(problem, max_height, canonical=True)))

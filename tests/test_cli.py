@@ -36,7 +36,7 @@ from ttrees import (
     TreeOrdering,
     unit_extensions,
 )
-from ttrees import cli
+from ttrees import cli, search
 from ttrees.cli import run
 from conftest import PC_CONFIG
 from oracles import random_tree
@@ -257,6 +257,44 @@ def test_enum_refuses_the_sorted_flag(tmp_path, capsys):
     assert captured.out == ""
     assert "usage: ttrees enum" in captured.err  # the options `enum` does take
     assert "unrecognized arguments: --sorted" in captured.err
+
+
+def test_an_unknown_option_is_refused_by_the_parser_it_was_given_to(abcd_file, capsys):
+    # Before the subcommand it belongs to the top-level command, after it to `enum`.
+    assert run(["--foo", "enum", str(abcd_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ttrees [-h]")
+    assert "ttrees: error: unrecognized arguments: --foo" in captured.err
+    assert run(["enum", "--foo", str(abcd_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ttrees enum")
+    assert "ttrees enum: error: unrecognized arguments: --foo" in captured.err
+
+
+def test_enum_builds_only_the_trees_of_single_steps(tmp_path, capsys, monkeypatch):
+    # `enum` reads the lines of a batch, spliced from its table's lines, and
+    # never its trees; each single step still builds its tree.
+    chain33, cyclic = tmp_path / "chain33.prob", tmp_path / "cyclic.prob"
+    chain33.write_text(render_problem(chain_problem(3, 3)))
+    cyclic.write_text(CYCLIC_PROBLEM)
+    built, real = 0, search._trusted_ttree
+
+    def counted(label, groups=()):
+        nonlocal built
+        built += 1
+        return real(label, groups)
+
+    monkeypatch.setattr(search, "_trusted_ttree", counted)
+    for argv, lines, bound in [
+        (["--canonical", str(chain33)], 8436, 200),
+        (["--max-depth", "4", str(cyclic)], 33673, 500),
+    ]:
+        built = 0
+        assert run(["enum", *argv]) == 0
+        assert capsys.readouterr().out.count("\n") == lines
+        assert built <= bound, argv
 
 
 def test_enum_into_a_closed_pipe(tmp_path):

@@ -76,6 +76,20 @@ def test_a_type_name_that_is_no_str_is_refused():
         StructuralProblem("A", ["A", 1])
 
 
+@pytest.mark.parametrize("root, relations, message", [
+    (["A"], [], "root type ['A'] is not declared"),
+    ("A", [("A", ["B"], 1)], "relation references unknown type ['B']"),
+    ("A", [(["A"], "B", 1)], "relation references unknown type ['A']"),
+    ("A", [("A", "B")], "relation ('A', 'B') needs three fields"),
+    ("A", [("A", "B", 1, 2)], "relation ('A', 'B', 1, 2) needs three fields"),
+    ("A", [None], "relation None needs three fields"),
+], ids=["list-root", "list-component", "list-composite", "two-fields", "four-fields", "no-fields"])
+def test_malformed_problem_input_is_refused_by_name(root, relations, message):
+    # Each of these escaped as TypeError or an unpacking ValueError.
+    with pytest.raises(ProblemError, match=re.escape(message)):
+        StructuralProblem(root, ["A", "B"], relations)
+
+
 def test_duplicate_type_rejected():
     with pytest.raises(ProblemError, match="duplicate type"):
         StructuralProblem("A", ["A", "B", "B"])

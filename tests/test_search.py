@@ -3,7 +3,8 @@ from __future__ import annotations
 import hashlib
 import random
 from functools import cmp_to_key
-from itertools import islice
+from itertools import chain, islice, starmap
+from operator import itemgetter
 
 import pytest
 
@@ -28,8 +29,12 @@ from ttrees import (
     unit_extensions,
 )
 from ttrees import search
-from ttrees.search import _enumerate
 from oracles import all_conforming_trees, random_problem
+
+
+def _enumerate(problem, max_height, canonical):
+    """The engine's stream as (tree, line) pairs: its chunks, flattened."""
+    return chain.from_iterable(starmap(zip, search._enumerate(problem, max_height, canonical)))
 
 
 def cyclic_problem() -> StructuralProblem:
@@ -222,6 +227,25 @@ def test_enumeration_streams_the_closure_in_tree_order(walk_corpora, monkeypatch
             assert trees == expected
 
 
+@pytest.mark.parametrize("table_chars", [None, 0, 40])
+def test_chunk_halves_read_after_the_stream_give_its_pairs(walk_corpora, monkeypatch, table_chars):
+    # A batch's trees and lines read only what the tables held when it was
+    # yielded, so reading them after the stream has ended, trees first or
+    # lines first, gives the pairs read as the stream went.
+    if table_chars is not None:
+        monkeypatch.setattr(search, "_TABLE_CHARS", table_chars)
+    for problem, max_height in walk_corpora:
+        for canonical in (False, True):
+            expected = list(_enumerate(problem, max_height, canonical))
+            for trees_first in (True, False):
+                chunks = list(search._enumerate(problem, max_height, canonical))
+                sides = (0, 1) if trees_first else (1, 0)
+                halves = {side: [list(chunk[side]) for chunk in chunks] for side in sides}
+                trees, lines = halves[0], halves[1]
+                assert list(map(len, trees)) == list(map(len, lines))
+                assert [p for ts, ls in zip(trees, lines) for p in zip(ts, ls)] == expected
+
+
 def _assert_lines_carried(walk_corpora):
     for problem, max_height in walk_corpora:
         for canonical in (False, True):
@@ -266,7 +290,8 @@ def test_tables_hold_at_most_the_budget(problem, max_height):
     # The lines that the tables of one enumeration add past their leaves sum
     # to at most _TABLE_CHARS; both runs stop their tables at that bound.
     levels, root = search._Levels(problem, canonical=False), problem.root_leaf()
-    trees = search._trees(levels, search._Level(root.label, max_height, root))
+    chunks = search._trees(levels, search._Level(root.label, max_height, root))
+    trees = chain.from_iterable(map(itemgetter(0), chunks))
     assert sum(1 for _ in islice(trees, 200_000)) in (1000, 200_000)
     lines = sum(len(line) for level in levels.made.values() for _, line in level.table[1:])
     assert levels.budget == 0
