@@ -16,7 +16,6 @@ from .core import (
     ConfigError,
     ParseError,
     ProblemError,
-    RelationSchema,
     StructuralProblem,
     TTree,
     TypeSymbol,
@@ -70,7 +69,6 @@ __all__ = [
     "ExtensionSite",
     "ParseError",
     "ProblemError",
-    "RelationSchema",
     "StructuralProblem",
     "TTree",
     "TreeOrdering",

@@ -59,16 +59,6 @@ class TypeSymbol(NamedTuple):
         return self.name
 
 
-@dataclass(frozen=True)
-class RelationSchema:
-    """A composition relation: objects of `composite` may hold up to
-    `max_cardinality` components of type `component`."""
-
-    composite: TypeSymbol
-    component: TypeSymbol
-    max_cardinality: int
-
-
 class StructuralProblem:
     """A validated structural problem.
 
@@ -90,6 +80,9 @@ class StructuralProblem:
         *,
         allow_cyclic: bool = False,
     ):
+        for field, given in (("types", types), ("relations", relations)):
+            if isinstance(given, str) or not isinstance(given, Iterable):
+                raise ProblemError(f"{field} must be an iterable other than a str, got {given!r}")
         by_name: dict[str, TypeSymbol] = {}
         for index, name in enumerate(types):
             if type(name) is not str or not _NAME.fullmatch(name):
@@ -100,7 +93,7 @@ class StructuralProblem:
         if type(root) is not str or root not in by_name:  # `in` fails on an unhashable root
             raise ProblemError(f"root type {root!r} is not declared")
 
-        schemas: list[RelationSchema] = []
+        triples: list[tuple[TypeSymbol, TypeSymbol, int]] = []
         caps: list[dict[int, int]] = [{} for _ in by_name]  # by composite rank
         for relation in relations:
             try:
@@ -123,11 +116,11 @@ class StructuralProblem:
                     f">= 1, got {max_cardinality!r}"
                 )
             caps[above.rank][below.rank] = max_cardinality
-            schemas.append(RelationSchema(above, below, max_cardinality))
+            triples.append((above, below, max_cardinality))
 
         self.root_type = by_name[root]
         self.types: tuple[TypeSymbol, ...] = tuple(by_name.values())
-        self.relations: tuple[RelationSchema, ...] = tuple(schemas)
+        self.relations = tuple(triples)  # (composite, component, max), in declaration order
         self._by_name = by_name
         # The table every reader uses: by composite rank, component rank -> cap, in rank order.
         self._caps = tuple(dict(sorted(below.items())) for below in caps)
@@ -158,20 +151,6 @@ class StructuralProblem:
                 f"type symbol {symbol.name!r} was built against a different problem"
             )
         return own
-
-    def component_types(self, symbol: TypeSymbol) -> tuple[TypeSymbol, ...]:
-        """Component types of `symbol`, in type order."""
-        return tuple(map(self.types.__getitem__, self._caps[self.symbol_of(symbol).rank]))
-
-    def schema(self, composite: TypeSymbol, component: TypeSymbol) -> RelationSchema | None:
-        """The relation between the types of these names, or None."""
-        above, below = self._by_name.get(composite.name), self._by_name.get(component.name)
-        cap = above and below and self._caps[above.rank].get(below.rank)
-        return RelationSchema(above, below, cap) if cap else None
-
-    def root_leaf(self) -> "TTree":
-        """The single-node tree labeled with the root type."""
-        return TTree(self.root_type)
 
     def __repr__(self) -> str:
         return (
@@ -219,10 +198,7 @@ def render_problem(problem: StructuralProblem) -> str:
     """Inverse of `parse_problem` (up to comments and blank lines)."""
     lines = [f"root {problem.root_type.name}"]
     lines += [f"type {t.name}" for t in problem.types]
-    lines += [
-        f"rel {r.composite.name} {r.component.name} max {r.max_cardinality}"
-        for r in problem.relations
-    ]
+    lines += [f"rel {a.name} {b.name} max {cap}" for a, b, cap in problem.relations]
     return "\n".join(lines) + "\n"
 
 
@@ -574,11 +550,17 @@ def make_config(
     order defaults to name order and relation checks are skipped.
     """
     objects, links = list(objects), list(links)
-    ids, names = [obj for obj, _ in objects], [name for _, name in objects]
+    try:
+        ids, names = [obj for obj, _ in objects], [name for _, name in objects]
+        sources, targets = [s for s, _ in links], [t for _, t in links]
+    except (TypeError, ValueError):  # only now walk the pairs, to name the first bad one
+        bad = next(p for p in objects + links if not isinstance(p, Iterable) or len([*p]) != 2)
+        what = "object" if bad in objects else "link"
+        raise ConfigError(f"{what} {bad!r} needs two fields") from None
     if not {int}.issuperset(map(type, ids)):  # a bool is no natural either
         bad = next(obj for obj in ids if type(obj) is not int or obj < 0)
         raise ConfigError(f"object ids must be naturals, got {bad!r}")
-    return _build_config(ids, names, [s for s, _ in links], [t for _, t in links], problem)
+    return _build_config(ids, names, sources, targets, problem)
 
 
 def _build_config(ids, names, sources, targets, problem: StructuralProblem | None) -> ConfigTree:

@@ -163,12 +163,6 @@ class CountTable:
     canonical: tuple[tuple[int, ...], ...]
     notes: tuple[tuple[int, int, str], ...]
 
-    def total(self, depth: int, branch: int) -> int:
-        return self.totals[depth - 1][branch - 1]
-
-    def canonical_count(self, depth: int, branch: int) -> int:
-        return self.canonical[depth - 1][branch - 1]
-
     def flagged_cells(self) -> tuple[tuple[int, int], ...]:
         return tuple((p, k) for p, k, _ in self.notes)
 

@@ -33,22 +33,23 @@ def all_conforming_trees(
 ) -> list[TTree]:
     """Every conforming T-tree, built by per-type product construction."""
     cache: dict[tuple[str, int | None], list[TTree]] = {}
+    components, named, _ = relation_queries(problem)
 
     def trees_of(symbol: TypeSymbol, budget: int | None) -> list[TTree]:
         key = (symbol.name, budget)
         if key in cache:
             return cache[key]
-        component_types = problem.component_types(symbol)
+        component_types = components.get(symbol.name, ())
         if budget == 0 or not component_types:
             result = [ttree(symbol)]
         else:
             smaller = None if budget is None else budget - 1
             per_type: list[list[tuple[TTree, ...]]] = []
             for child_type in component_types:
-                schema = problem.schema(symbol, child_type)
+                _, _, cap = named[symbol.name, child_type.name]
                 subtrees = trees_of(child_type, smaller)
                 sequences: list[tuple[TTree, ...]] = []
-                for length in range(schema.max_cardinality + 1):
+                for length in range(cap + 1):
                     sequences.extend(product(subtrees, repeat=length))
                 per_type.append(sequences)
             result = [
@@ -62,15 +63,17 @@ def all_conforming_trees(
 
 
 def relation_queries(problem: StructuralProblem) -> tuple[dict, dict, bool]:
-    """What the problem's queries must answer, read from `problem.relations`
-    alone: the components of each composite name, sorted by rank; each
-    relation by its (composite, component) names; and whether the type
-    graph has a cycle, found as a back edge of a depth-first search."""
+    """The problem's relations as the oracles read them, from
+    `problem.relations` alone: the components of each composite name,
+    sorted by rank; each relation triple by its (composite, component)
+    names; and whether the type graph has a cycle, found as a back edge
+    of a depth-first search."""
     components: dict[str, list[TypeSymbol]] = {}
     named = {}
     for relation in problem.relations:
-        components.setdefault(relation.composite.name, []).append(relation.component)
-        named[relation.composite.name, relation.component.name] = relation
+        composite, component, _ = relation
+        components.setdefault(composite.name, []).append(component)
+        named[composite.name, component.name] = relation
     for symbols in components.values():
         symbols.sort(key=lambda symbol: symbol.rank)
     state: dict[str, str] = {}  # "open" while on the search path, then "done"
@@ -148,13 +151,15 @@ def _match_lists(la: tuple[TTree, ...], lb: tuple[TTree, ...]) -> bool:
 
 def order_key(tree: TTree, problem: StructuralProblem) -> tuple:
     """Sort key whose tuple comparison realizes the tree order."""
-    return tuple(
-        (
-            len(tree.tlist(t)),
-            tuple(order_key(member, problem) for member in tree.tlist(t)),
+    components = relation_queries(problem)[0]
+
+    def key(tree: TTree) -> tuple:
+        return tuple(
+            (len(tree.tlist(t)), tuple(map(key, tree.tlist(t))))
+            for t in components.get(tree.label.name, ())
         )
-        for t in problem.component_types(tree.label)
-    )
+
+    return key(tree)
 
 
 def sorted_by_key(tree: TTree, problem: StructuralProblem) -> TTree:
@@ -221,12 +226,13 @@ def random_tree(problem: StructuralProblem, size: int, rng: random.Random) -> TT
     open sites."""
     nodes: list[dict] = [{"sym": problem.root_type, "kids": {}}]
     sites: list[list] = []
+    components, named, _ = relation_queries(problem)
 
     def open_sites(index: int) -> None:
         symbol = nodes[index]["sym"]
-        for child_type in problem.component_types(symbol):
-            schema = problem.schema(symbol, child_type)
-            sites.append([index, child_type, schema.max_cardinality])
+        for child_type in components.get(symbol.name, ()):
+            _, _, cap = named[symbol.name, child_type.name]
+            sites.append([index, child_type, cap])
 
     open_sites(0)
     count = 1
@@ -256,6 +262,10 @@ def make_config_oracle(objects, links, problem: StructuralProblem | None = None)
     `.types` and `.links` give them, or the `ConfigError` that
     `make_config` must raise: the same checks in the same order, on
     dicts keyed by object id."""
+    for what, pairs in (("object", objects), ("link", links)):
+        for pair in pairs:
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ConfigError(f"{what} {pair!r} needs two fields")
     typed: dict[int, str] = {}
     for obj, name in objects:
         if obj < 0:
@@ -299,6 +309,7 @@ def make_config_oracle(objects, links, problem: StructuralProblem | None = None)
         raise ConfigError(f"objects not reachable from the root: {missing}")
 
     if problem is not None:
+        named = relation_queries(problem)[1]
         if symbol_of[root] != problem.root_type:
             raise ConfigError(
                 f"root object must have type {problem.root_type.name!r}, "
@@ -308,17 +319,16 @@ def make_config_oracle(objects, links, problem: StructuralProblem | None = None)
             per_type: dict[str, int] = {}
             for child in kids:
                 name = typed[child]
-                schema = problem.schema(symbol_of[obj], symbol_of[child])
-                if schema is None:
+                relation = named.get((typed[obj], name))
+                if relation is None:
                     raise ConfigError(
                         f"no relation allows a {name} inside "
                         f"a {typed[obj]} (objects {obj} -> {child})"
                     )
                 per_type[name] = count = per_type.get(name, 0) + 1
-                if count > schema.max_cardinality:
+                if count > relation[2]:
                     raise ConfigError(
-                        f"object {obj} exceeds max cardinality "
-                        f"{schema.max_cardinality} for {name}"
+                        f"object {obj} exceeds max cardinality {relation[2]} for {name}"
                     )
 
     ids = sorted(typed)

@@ -45,13 +45,13 @@ def test_pc_problem_is_valid(pc):
     assert len(pc.relations) == 5
     assert pc.root_type.name == "PC"
     mainboard = pc.type("Mainboard")
-    assert [t.name for t in pc.component_types(mainboard)] == ["Processor", "HDisk"]
-    assert pc.schema(pc.type("PC"), pc.type("Monitor")).max_cardinality == 1
+    assert [b.name for a, b, _ in pc.relations if a == mainboard] == ["Processor", "HDisk"]
+    assert pc.relations[0] == (pc.type("PC"), pc.type("Monitor"), 1)
 
 
 def test_single_type_problem():
     p = StructuralProblem("T", ["T"])
-    assert p.component_types(p.type("T")) == ()
+    assert p.relations == ()
     assert not p.is_cyclic
 
 
@@ -88,6 +88,18 @@ def test_malformed_problem_input_is_refused_by_name(root, relations, message):
     # Each of these escaped as TypeError or an unpacking ValueError.
     with pytest.raises(ProblemError, match=re.escape(message)):
         StructuralProblem(root, ["A", "B"], relations)
+
+
+@pytest.mark.parametrize("types, relations, message", [
+    ("AB", [], "types must be an iterable other than a str, got 'AB'"),
+    (5, [], "types must be an iterable other than a str, got 5"),
+    (["A", "B"], "AB", "relations must be an iterable other than a str, got 'AB'"),
+    (["A", "B"], 5, "relations must be an iterable other than a str, got 5"),
+], ids=["str-types", "int-types", "str-relations", "int-relations"])
+def test_types_and_relations_must_be_iterables_that_are_no_str(types, relations, message):
+    # A str was read one character per type; an int escaped as TypeError.
+    with pytest.raises(ProblemError, match=re.escape(message)):
+        StructuralProblem("A", types, relations)
 
 
 def test_duplicate_type_rejected():
@@ -154,19 +166,24 @@ def test_problem_queries_match_the_relations(abcd, pc, wide, cyclic):
     problems.append(StructuralProblem("T0", names, [("T0", "T1", 1)] + ring, allow_cyclic=True))
     problems += [random_problem(rng) for _ in range(200)]
     found = {False: 0, True: 0}
+    unranked = 0
     for problem in problems:
-        components, named, cyclic = relation_queries(problem)
+        _, _, cyclic = relation_queries(problem)
         assert problem.is_cyclic == cyclic
         found[cyclic] += 1
-        for a in problem.types:
-            assert problem.component_types(a) == tuple(components.get(a.name, ()))
-            for b in problem.types:
-                relation = named.get((a.name, b.name))
-                assert problem.schema(a, b) == relation
-                # Relations match by name, so a symbol of another problem finds them too.
-                assert problem.schema(TypeSymbol(a.name, 9), TypeSymbol(b.name, 9)) == relation
-            assert problem.schema(a, TypeSymbol("Undeclared", 0)) is None
+        # Relations keep the order they were declared in, not rank order.
+        triples = [(a.name, b.name, cap) for a, b, cap in problem.relations]
+        rng.shuffle(triples)
+        declared = [t.name for t in problem.types]
+        again = StructuralProblem(problem.root_type.name, declared, triples, allow_cyclic=True)
+        assert again.relations == tuple((again.type(a), again.type(b), c) for a, b, c in triples)
+        lines = [line for line in render_problem(again).splitlines() if line.startswith("rel ")]
+        assert lines == [f"rel {a} {b} max {cap}" for a, b, cap in triples]
+        unranked += list(again.relations) != sorted(
+            again.relations, key=lambda r: (r[0].rank, r[1].rank)
+        )
     assert min(found.values()) > 50  # both kinds of graph are well represented
+    assert unranked > 50  # and so are relations declared out of rank order
 
 
 def test_problem_file_round_trip(pc):
@@ -565,6 +582,13 @@ def test_config_validation_errors(pc):
         make_config([(0, "Spaceship")], [], pc)
     with pytest.raises(ConfigError, match="configuration has no objects"):
         make_config([], [])
+    # Each malformed pair escaped as an unpacking ValueError or a TypeError.
+    with pytest.raises(ConfigError, match=re.escape("object (0, 'A', 1) needs two fields")):
+        make_config([(0, "A", 1)], [])
+    with pytest.raises(ConfigError, match=re.escape("link (0,) needs two fields")):
+        make_config([(0, "A"), (1, "A")], [(0,)])
+    with pytest.raises(ConfigError, match="^object 5 needs two fields$"):
+        make_config([5], [])
     with pytest.raises(ConfigError, match="configuration has no objects"):
         parse_config("# nothing but a comment\n", pc)
     for bad in (1.5, True, "x", None, -1):
@@ -650,7 +674,7 @@ def test_ids_and_cardinalities_are_ascii_digits(number):
 
 def test_leading_zeros_are_digits():
     problem = parse_problem("root A\ntype A\ntype B\nrel A B max 0012\n")
-    assert problem.relations[0].max_cardinality == 12
+    assert problem.relations[0] == (problem.type("A"), problem.type("B"), 12)
     assert parse_config("obj 007 A\n").ids == (7,)
 
 

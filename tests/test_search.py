@@ -11,6 +11,7 @@ import pytest
 from ttrees import (
     ExtensionSite,
     StructuralProblem,
+    TTree,
     TreeOrdering,
     apply_extension,
     canonical_removal,
@@ -59,7 +60,7 @@ def test_extensions_respect_cardinalities(abcd):
 
 def test_extensions_of_relationless_problem():
     p = StructuralProblem("T", ["T"])
-    assert unit_extensions(p.root_leaf(), p) == []
+    assert unit_extensions(TTree(p.root_type), p) == []
 
 
 def test_extension_appends_at_list_end(abcd):
@@ -197,7 +198,7 @@ def closure(problem, max_height, canonical):
     """The trees reached from the root leaf by unit extensions within the
     height bound, through canonical trees only with `canonical`, sorted
     by `compare`: reverse search's state space, read without its order."""
-    root = problem.root_leaf()
+    root = TTree(problem.root_type)
     reached, frontier = {render_ttree(root): root}, [root]
     while frontier:
         tree = frontier.pop()
@@ -289,7 +290,7 @@ def test_long_chain_enumerates_without_recursion():
 def test_tables_hold_at_most_the_budget(problem, max_height):
     # The lines that the tables of one enumeration add past their leaves sum
     # to at most _TABLE_CHARS; both runs stop their tables at that bound.
-    levels, root = search._Levels(problem, canonical=False), problem.root_leaf()
+    levels, root = search._Levels(problem, canonical=False), TTree(problem.root_type)
     chunks = search._trees(levels, search._Level(root.label, max_height, root))
     trees = chain.from_iterable(map(itemgetter(0), chunks))
     assert sum(1 for _ in islice(trees, 200_000)) in (1000, 200_000)
@@ -379,8 +380,8 @@ def test_reachability_by_repeated_canonical_extension(abcd):
     # closure of {leaf} under canonical extension = all canonical trees; a
     # tree's canonical extensions are the grown trees that pass the
     # incremental check at their site
-    frontier = [abcd.root_leaf()]
-    reached = {abcd.root_leaf()}
+    frontier = [TTree(abcd.root_type)]
+    reached = {TTree(abcd.root_type)}
     while frontier:
         tree = frontier.pop()
         for site in extension_sites(tree, abcd):

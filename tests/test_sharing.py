@@ -32,7 +32,7 @@ from oracles import random_tree, shuffled, sorted_by_key, unshared
 
 def _tight(problem: StructuralProblem) -> StructuralProblem:
     """The same types with every cap 1, so that some trees do not conform."""
-    relations = [(r.composite.name, r.component.name, 1) for r in problem.relations]
+    relations = [(above.name, below.name, 1) for above, below, _ in problem.relations]
     return StructuralProblem(
         problem.root_type.name, [t.name for t in problem.types], relations, allow_cyclic=True
     )
