@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter, defaultdict
+from contextlib import suppress
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from itertools import islice
@@ -80,9 +81,10 @@ class StructuralProblem:
         *,
         allow_cyclic: bool = False,
     ):
-        for field, given in (("types", types), ("relations", relations)):
-            if isinstance(given, str) or not isinstance(given, Iterable):
-                raise ProblemError(f"{field} must be an iterable other than a str, got {given!r}")
+        for name, given in (("types", types), ("relations", relations)):  # a set has no order
+            kind = type(given).__name__ if isinstance(given, (set, frozenset)) else "str"
+            if kind != "str" or isinstance(given, str) or not isinstance(given, Iterable):
+                raise ProblemError(f"{name} must be an iterable other than a {kind}, got {given!r}")
         by_name: dict[str, TypeSymbol] = {}
         for index, name in enumerate(types):
             if type(name) is not str or not _NAME.fullmatch(name):
@@ -124,11 +126,14 @@ class StructuralProblem:
         self._by_name = by_name
         # The table every reader uses: by composite rank, component rank -> cap, in rank order.
         self._caps = tuple(dict(sorted(below.items())) for below in caps)
-        try:
-            TopologicalSorter(dict(enumerate(self._caps))).prepare()
-            self.is_cyclic = False
-        except CycleError:
-            self.is_cyclic = True
+        # By rank, each type's reach: the height of its tallest tree, if it reaches no cycle.
+        reach, sorter = {}, TopologicalSorter(dict(enumerate(caps)))
+        with suppress(CycleError):  # the sorter still yields the types that reach no cycle
+            sorter.prepare()
+        while ready := sorter.get_ready():
+            reach.update((r, max([reach[c] + 1 for c in caps[r]], default=0)) for r in ready)
+            sorter.done(*ready)
+        self._reach, self.is_cyclic = reach, len(reach) < len(caps)
         if self.is_cyclic and not allow_cyclic:
             raise ProblemError(
                 "composition type graph is cyclic; pass allow_cyclic=True and "

@@ -7,10 +7,11 @@ a configurator builds on.
 
 The enumerators stream trees in increasing tree order, lexicographic over
 the T-lists in type order, each by length, then member by member.  So a
-*level* (one type under one height budget, or none when unbounded) is the
+*level*, one type under a height at most its tallest tree's, is the
 positions of an odometer, its canonical trees those with sorted T-lists
-(Beyer & Hedetniemi, 1980; Ruskey, *Combinatorial Generation*).  A level
-tables the trees a run reaches in it, with their lines, within a budget.
+(Beyer & Hedetniemi, 1980; Ruskey, *Combinatorial Generation*).  An
+unbounded run is the run at the root's tallest height.  A level tables
+the trees a run reaches in it, with their lines, within a budget.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ _TABLE_CHARS = 1 << 16  # the lines that the level tables of one enumeration add
 
 
 class _Level:
-    """The trees of one type under one height budget, or none if unbounded.
+    """The trees of one type under a height at most its tallest tree's.
     `parts`: (component, cap, level below).  A member equal to `top`, the
     greatest tree, is that object, so "cannot grow" is an identity test;
     `width` is its line's length.  `table` holds the trees and lines reached
@@ -176,34 +177,34 @@ class _Level:
 
     __slots__ = ("label", "height", "leaf", "parts", "top", "width", "table", "index")
 
-    def __init__(self, label: TypeSymbol, height: int | None, leaf: TTree):
+    def __init__(self, label: TypeSymbol, height: int, leaf: TTree):
         self.label, self.height, self.leaf = label, height, leaf
         self.parts = self.top = self.width = None
         self.table, self.index = [(leaf, label.name)], {}
 
 
 class _Levels:
-    """The levels one enumeration reaches, made when first reached.  Their
-    tables share `budget`, the characters of `_TABLE_CHARS` not yet used."""
+    """The levels one enumeration reaches, made when first reached, by (rank,
+    height): a height past a type's tallest tree is clamped to that tree's.
+    Their tables share `budget`, the characters of `_TABLE_CHARS` not yet used."""
 
     def __init__(self, problem: StructuralProblem, canonical: bool):
         self.problem, self.canonical, self.budget = problem, canonical, _TABLE_CHARS
-        self.made: dict[tuple[int, int | None], _Level] = {}
+        self.made: dict[tuple[int, int], _Level] = {}
 
     def open(self, level: _Level) -> list[tuple]:
         h, types, caps = level.height, self.problem.types, self.problem._caps[level.label.rank]
-        below = None if h is None else h - 1
-        level.parts = [(types[r], cap, self.get((r, below))) for r, cap in caps.items() if h != 0]
+        level.parts = [(types[r], cap, self.get(r, h - 1)) for r, cap in caps.items() if h]
         return level.parts
 
-    def get(self, key: tuple[int, int | None]) -> _Level:
-        """The level; one of one tree has its leaf as its top."""
-        level = self.made.get(key)
+    def get(self, rank: int, h: int) -> _Level:
+        """The level of type `rank` under height `h`; at height 0 its top is its leaf."""
+        h = min(h, self.problem._reach.get(rank, h))
+        level = self.made.get((rank, h))
         if level is None:
-            rank, h = key
             label = self.problem.types[rank]
-            level = self.made[key] = _Level(label, h, _trusted_ttree(label))
-            if h == 0 or not self.problem._caps[rank]:
+            level = self.made[rank, h] = _Level(label, h, _trusted_ttree(label))
+            if h == 0:
                 level.top, level.width = level.leaf, len(label.name)
         return level
 
@@ -221,20 +222,17 @@ def _states(table: list, lo: int, hi: int, r: int, canonical: bool, side: int) -
 def _batch(path: list, run: tuple, prefix: str) -> tuple[Iterator[TTree], Iterator[str]]:
     """The trees and the lines of a run's states, each built when read: the
     trees along `path`, the lines from `prefix` on."""
-    heads = [(node.label, node.groups[:g], node.groups[g][0], members[:j])
-             for node, _, g, members, j, _ in reversed(path)]
-    tail = ")" * len(path)
+    (node, _, g, members, j, _), trail = path[-1], None
+    for above, _, a, _, i, _ in path[:-1]:  # only ")" follows the run, so each step is last
+        trail = (above, a, i, trail)
 
     def trees() -> Iterator[TTree]:
-        (label, groups, symbol, left), *above = heads
-        for members in _states(*run, 0):
-            tree = _trusted_ttree(label, groups + ((symbol, left + members),))
-            for up_label, up_groups, up_symbol, up_left in above:
-                tree = _trusted_ttree(up_label, up_groups + ((up_symbol, up_left + (tree,)),))
-            yield tree
+        label, groups, symbol, left = node.label, node.groups[:g], node.groups[g][0], members[:j]
+        for states in _states(*run, 0):
+            yield _rise(_trusted_ttree(label, groups + ((symbol, left + states),)), trail)
 
     texts = chain.from_iterable(starmap(_states, [(*run, 1)]))  # made when first read
-    return trees(), map("".join, zip(repeat(prefix), map(",".join, texts), repeat(tail)))
+    return trees(), map("".join, zip(repeat(prefix), map(",".join, texts), repeat(")" * len(path))))
 
 
 def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[Iterable[TTree], Iterable[str]]]:
@@ -329,8 +327,8 @@ def _enumerate(
 ) -> Iterator[tuple[Iterable[TTree], Iterable[str]]]:
     """Each tree, only the canonical ones with `canonical`, with its line, in chunks."""
     _check_height(max_height, problem.is_cyclic)
-    levels = _Levels(problem, canonical)
-    return _trees(levels, levels.get((problem.root_type.rank, max_height)))
+    levels, r = _Levels(problem, canonical), problem.root_type.rank
+    return _trees(levels, levels.get(r, problem._reach[r] if max_height is None else max_height))
 
 
 def enumerate_all(problem: StructuralProblem, *, max_height: int | None = None) -> Iterator[TTree]:

@@ -95,9 +95,15 @@ def test_malformed_problem_input_is_refused_by_name(root, relations, message):
     (5, [], "types must be an iterable other than a str, got 5"),
     (["A", "B"], "AB", "relations must be an iterable other than a str, got 'AB'"),
     (["A", "B"], 5, "relations must be an iterable other than a str, got 5"),
-], ids=["str-types", "int-types", "str-relations", "int-relations"])
+    ({"A"}, [], "types must be an iterable other than a set, got {'A'}"),
+    (["A", "B"], frozenset({("A", "B", 1)}),
+     "relations must be an iterable other than a frozenset, got frozenset({('A', 'B', 1)})"),
+], ids=["str-types", "int-types", "str-relations", "int-relations", "set-types",
+        "frozenset-relations"])
 def test_types_and_relations_must_be_iterables_that_are_no_str(types, relations, message):
-    # A str was read one character per type; an int escaped as TypeError.
+    # A str was read one character per type; an int escaped as TypeError; a
+    # set ordered the types, and so canonical forms and enumeration, by the
+    # string hash seed of the process.
     with pytest.raises(ProblemError, match=re.escape(message)):
         StructuralProblem("A", types, relations)
 

@@ -45,6 +45,28 @@ def cyclic_problem() -> StructuralProblem:
     )
 
 
+def diamond_problem(cap: int) -> StructuralProblem:
+    """R holds A, B and C; A holds B, B holds C and C holds D; each up to
+    `cap`.  Each of B, C and D is reached at several depths."""
+    return StructuralProblem("R", ["R", "A", "B", "C", "D"], [
+        ("R", "A", cap), ("R", "B", cap), ("R", "C", cap),
+        ("A", "B", cap), ("B", "C", cap), ("C", "D", cap),
+    ])
+
+
+def recorded_levels(monkeypatch) -> list:
+    """The `_Levels` of each enumeration started from now on, in order."""
+    made = []
+
+    class Recorded(search._Levels):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_Levels", Recorded)
+    return made
+
+
 def renderings(trees):
     return sorted(render_ttree(t) for t in trees)
 
@@ -191,6 +213,8 @@ def walk_corpora(abcd, pc, wide, cyclic):
         (cyclic, 0),
         (cyclic, 1),
         (cyclic, 3),
+        (diamond_problem(1), 3),
+        (diamond_problem(1), 4),
     ]
 
 
@@ -301,21 +325,52 @@ def test_tables_hold_at_most_the_budget(problem, max_height):
 
 def test_an_unbounded_run_makes_one_level_per_type(monkeypatch):
     # B is reachable at depths 1 and 2; without a height bound it is one
-    # level, with one table and one top.
+    # level, with one table and one top.  The run is the one at R's tallest
+    # height, 2, and each level has its type's tallest height.
     problem = StructuralProblem("R", ["R", "A", "B"], [("R", "A", 1), ("R", "B", 1), ("A", "B", 1)])
-    made = []
-
-    class Recorded(search._Levels):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(search, "_Levels", Recorded)
+    made = recorded_levels(monkeypatch)
     for canonical in (False, True):
         lines = [line for _, line in _enumerate(problem, None, canonical)]
         assert lines == ["R", "R(B)", "R(A)", "R(A,B)", "R(A(B))", "R(A(B),B)"]
-        assert sorted(made.pop().made) == [(0, None), (1, None), (2, None)]
+        assert sorted(made.pop().made) == [(0, 2), (1, 1), (2, 0)]
         assert not made
+
+
+def test_a_bound_past_a_types_tallest_tree_makes_no_second_level(monkeypatch):
+    # The tallest trees of R, A, B, C and D have heights 4, 3, 2, 1 and 0.
+    # Under a bound, a level's height is clamped to its type's, so at
+    # height 4 and unbounded every type has one level.  At height 3, B is
+    # reached under budgets 2 and 1, and C under 2 (clamped to 1) and 0.
+    made, keys = recorded_levels(monkeypatch), {}
+    for bound in (3, 4, None):
+        for canonical in (False, True):
+            list(_enumerate(diamond_problem(1), bound, canonical))
+            keys[bound, canonical] = sorted(made.pop().made)
+    for canonical in (False, True):
+        assert keys[3, canonical] == [(0, 3), (1, 2), (2, 1), (2, 2), (3, 0), (3, 1), (4, 0)]
+        assert keys[4, canonical] == keys[None, canonical] == [(r, 4 - r) for r in range(5)]
+
+
+def test_batches_read_only_the_table_entries_they_were_yielded_over():
+    # While each chunk is read, every made table holds one entry more than
+    # when the chunk was yielded: a copy of its last.  A batch that read
+    # its tables as they are when read, not up to where they ended, would
+    # give more states or others.
+    runs = [(chain_problem(3, 3), 3, True), (cyclic_problem(), 4, False), (cyclic_problem(), 4, True)]
+    for problem, max_height, canonical in runs:
+        levels, batches, pairs = search._Levels(problem, canonical), 0, []
+        root = levels.get(problem.root_type.rank, max_height)
+        for trees, lines in search._trees(levels, root):
+            tables = [level.table for level in levels.made.values()]
+            for table in tables:
+                table.append(table[-1])
+            trees, lines = list(trees), list(lines)
+            for table in tables:
+                table.pop()
+            batches += len(trees) > 1
+            pairs += zip(trees, lines)
+        assert pairs == list(_enumerate(problem, max_height, canonical))
+        assert batches
 
 
 def test_random_problem_streams_are_pinned():
