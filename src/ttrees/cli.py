@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-depth",
         type=int,
         default=None,
-        help="height bound (required for cyclic type graphs)",
+        help="height bound (required when the root type reaches a cycle)",
     )
     enum.add_argument("--limit", type=int, default=None, help="stop after this many")
 

@@ -66,8 +66,8 @@ class StructuralProblem:
     Construction checks every well-formedness rule, so an instance that
     exists is usable: type names are unique identifiers, relations do not
     repeat an endpoint pair, the root type is never a component, and the
-    type graph is acyclic unless `allow_cyclic` is set (in which case
-    enumeration requires an explicit height bound).
+    type graph is acyclic unless `allow_cyclic` is set (then a root type
+    that reaches a cycle needs an explicit height bound to enumerate).
 
     `types` order defines the total order on type symbols (rank =
     declaration index).

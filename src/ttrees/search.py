@@ -22,7 +22,7 @@ from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .core import StructuralProblem, TTree, TypeSymbol, _trusted_ttree, render_ttree
+from .core import StructuralProblem, TTree, TypeSymbol, _group, _trusted_ttree, render_ttree
 from .order import _compare, TreeOrdering
 
 _GREATER = TreeOrdering.GREATER
@@ -41,11 +41,8 @@ class ExtensionSite:
     leaf_type: TypeSymbol
 
 
-def _check_height(max_height: int | None, required: bool) -> None:
-    """Refuse a height bound that is not an int >= 0, or none where one is `required`."""
-    if max_height is None and required:
-        raise ValueError("problem has a cyclic type graph; enumeration needs a height bound "
-                         "(max_height or --max-depth)")
+def _check_height(max_height: int | None) -> None:
+    """Refuse a height bound that is not an int >= 0."""
     if max_height is not None and type(max_height) is not int:  # a bool is no bound either
         raise ValueError(f"height bound must be an int, got {max_height!r}")
     if max_height is not None and max_height < 0:
@@ -60,7 +57,7 @@ def extension_sites(
 ) -> list[ExtensionSite]:
     """All sites where a leaf may be added without violating a cardinality
     bound (or the height bound, when given), in depth-first pre-order."""
-    _check_height(max_height, False)
+    _check_height(max_height)
     sites: list[ExtensionSite] = []
     path: list[tuple[TypeSymbol, int]] = []  # the steps to the node visited
     stack: list[tuple] = [(tree, 0, None)]  # node, depth, last step
@@ -108,10 +105,8 @@ def _walk(tree: TTree, site: ExtensionSite) -> tuple[TTree, tuple | None]:
 def apply_extension(tree: TTree, site: ExtensionSite) -> TTree:
     """The unit extension of `tree` at `site`."""
     node, trail = _walk(tree, site)
-    groups = [(t, m) for t, m in node.groups if t != site.leaf_type]
-    groups.append((site.leaf_type, node.tlist(site.leaf_type) + (_trusted_ttree(site.leaf_type),)))
-    groups.sort(key=lambda pair: pair[0].rank)
-    return _rise(_trusted_ttree(node.label, tuple(groups)), trail)
+    members = [m for _, ms in node.groups for m in ms] + [_trusted_ttree(site.leaf_type)]
+    return _rise(_trusted_ttree(node.label, _group(members)), trail)
 
 
 def unit_extensions(tree: TTree, problem: StructuralProblem) -> list[TTree]:
@@ -326,14 +321,18 @@ def _enumerate(
     problem: StructuralProblem, max_height: int | None, canonical: bool
 ) -> Iterator[tuple[Iterable[TTree], Iterable[str]]]:
     """Each tree, only the canonical ones with `canonical`, with its line, in chunks."""
-    _check_height(max_height, problem.is_cyclic)
+    _check_height(max_height)
     levels, r = _Levels(problem, canonical), problem.root_type.rank
-    return _trees(levels, levels.get(r, problem._reach[r] if max_height is None else max_height))
+    height = problem._reach.get(r) if max_height is None else max_height
+    if height is None:  # the root reaches a cycle
+        raise ValueError("problem has a cyclic type graph; enumeration needs a height bound "
+                         "(max_height or --max-depth)")
+    return _trees(levels, levels.get(r, height))
 
 
 def enumerate_all(problem: StructuralProblem, *, max_height: int | None = None) -> Iterator[TTree]:
     """Every conforming T-tree exactly once, in increasing tree order.
-    `max_height` bounds tree height; cyclic type graphs need it."""
+    `max_height` bounds tree height; a root type that reaches a cycle needs it."""
     return chain.from_iterable(map(itemgetter(0), _enumerate(problem, max_height, canonical=False)))
 
 

@@ -340,6 +340,14 @@ def test_enum_cyclic_needs_depth(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines() == ["X", "X(Y)", "X(Y(Y))"]
 
 
+def test_enum_of_a_cycle_the_root_does_not_reach_needs_no_depth(tmp_path, capsys):
+    path = tmp_path / "unreached.prob"
+    path.write_text("root R\ntype R\ntype A\ntype B\nrel R A max 1\nrel B B max 1\n")
+    for flags in ([], ["--canonical"]):
+        assert run(["enum", *flags, str(path)]) == 0
+        assert capsys.readouterr() == ("R\nR(A)\n", "")
+
+
 def test_enum_rejects_negative_height(abcd_file, capsys):
     assert run(["enum", str(abcd_file), "--max-depth", "-3"]) == 2
     captured = capsys.readouterr()

@@ -13,6 +13,7 @@ from ttrees import (
     StructuralProblem,
     TTree,
     TreeOrdering,
+    TypeSymbol,
     apply_extension,
     canonical_removal,
     canonicalize,
@@ -115,6 +116,9 @@ def test_apply_extension_rejects_bad_site(abcd):
             apply_extension(tree, site)
         with pytest.raises(ValueError, match="does not address"):
             is_canonical_incremental(tree, site)
+    # X shares B's rank, so A(B) grown by an X leaf would hold two lists of rank 1.
+    with pytest.raises(ValueError, match="share rank 1"):
+        apply_extension(parse_ttree("A(B)", abcd), ExtensionSite((), TypeSymbol("X", 1)))
 
 
 def test_removal_examples(abcd):
@@ -385,6 +389,25 @@ def test_random_problem_streams_are_pinned():
                     digest.update(line.encode() + b"\n")
                 digest.update(b"\n")
     assert digest.hexdigest() == "fd2ae9e789f52f88bc59d21c7b3807e1177a9b2fe4f39e1f2fafd6cda53264f7"
+
+
+@pytest.mark.parametrize("seed", [23, 7])
+def test_only_a_root_that_reaches_a_cycle_needs_a_bound(seed):
+    # A cycle the root does not reach leaves its trees finite: unbounded,
+    # the run is the one at the root's tallest height, and a taller bound
+    # adds nothing.  A root that reaches a cycle is refused without a bound.
+    rng = random.Random(seed)
+    for _ in range(300):
+        problem = random_problem(rng)
+        reach = problem._reach.get(problem.root_type.rank)
+        for canonical in (False, True):
+            if reach is None:
+                with pytest.raises(ValueError, match="max_height"):
+                    _enumerate(problem, None, canonical)
+                continue
+            first = list(islice(_enumerate(problem, None, canonical), 3000))
+            for bound in (reach, reach + 2):
+                assert list(islice(_enumerate(problem, bound, canonical), 3000)) == first
 
 
 def test_canonical_enumeration_decides_before_building(monkeypatch):
