@@ -29,7 +29,6 @@ from .core import (
     render_config,
     render_problem,
     render_ttree,
-    ttree,
     ttree_conforms,
     ttree_to_config,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "render_config",
     "render_problem",
     "render_ttree",
-    "ttree",
     "ttree_conforms",
     "ttree_to_config",
     "unit_extensions",

@@ -211,46 +211,35 @@ TList = tuple["TTree", ...]
 Groups = tuple[tuple[TypeSymbol, TList], ...]
 
 
-@dataclass(frozen=True, eq=False, slots=True)
+@dataclass(frozen=True, eq=False, slots=True, init=False)
 class TTree:
     """A type-labeled rooted tree with children grouped into T-lists.
 
-    `groups` holds one `(component type, T-list)` pair per component type
-    that actually has children, in increasing type rank; empty T-lists are
-    implicit.  Every member of a T-list is labeled with the group's type.
-    Instances are immutable and compare structurally.  The parsers,
-    `config_to_ttree` and `canonicalize` share equal subtrees, and the
-    walkers visit each object once; `is` between subtrees is no promise.
-    No hash is stored; `hash()` renders the tree, so it costs O(n) per call.
-
-    Prefer `ttree()` (which groups arbitrary child sequences) or
-    `parse_ttree()` to the raw constructor.  Both check their input; the
-    package's own builders, whose groups are valid by construction, skip
-    the checks through `_trusted_ttree`.
+    `TTree(label, children)` stably groups `children` by type: `groups`
+    holds one `(component type, T-list)` pair per component type that has
+    children, in increasing type rank, and children of one type keep their
+    relative order.  The constructor raises ValueError for a label that is
+    not a `TypeSymbol`, for a child that is not a `TTree`, and for child
+    types with clashing ranks, which come only from mixing unrelated type
+    universes.  Instances are immutable and compare structurally.  The
+    parsers, `config_to_ttree` and `canonicalize` share equal subtrees, and
+    the walkers visit each object once; `is` between subtrees is no
+    promise.  No hash is stored; `hash()` renders the tree, so it costs
+    O(n) per call.
     """
 
     label: TypeSymbol
-    groups: Groups = ()
+    groups: Groups
 
-    def __post_init__(self) -> None:
-        if not (isinstance(self.label, TypeSymbol) and isinstance(self.groups, tuple)):
-            raise ValueError("a TTree needs a TypeSymbol label and a tuple of groups")
-        last_rank = -1
-        for symbol, members in self.groups:
-            if not (isinstance(symbol, TypeSymbol) and isinstance(members, tuple)):
-                raise ValueError("a group needs a TypeSymbol and a tuple T-list")
-            if symbol.rank <= last_rank:
-                raise ValueError("T-lists must be in strictly increasing type order")
-            last_rank = symbol.rank
-            if not members:
-                raise ValueError("empty T-lists must be omitted")
-            for member in members:
-                if not isinstance(member, TTree):
-                    raise ValueError(f"a T-list member must be a TTree, got {member!r}")
-                if member.label != symbol:
-                    raise ValueError(
-                        f"T-list of {symbol.name} contains a {member.label.name} subtree"
-                    )
+    def __init__(self, label: TypeSymbol, children: Iterable[TTree] = ()) -> None:
+        if not (isinstance(label, TypeSymbol) and isinstance(children, Iterable)):
+            raise ValueError("a TTree needs a TypeSymbol label and an iterable of children")
+        children = tuple(children)
+        for child in children:
+            if not isinstance(child, TTree):
+                raise ValueError(f"a T-list member must be a TTree, got {child!r}")
+        _set_label(self, label)
+        _set_groups(self, _group(children) if children else ())
 
     def __hash__(self) -> int:
         return hash(render_ttree(self))  # equal trees render alike
@@ -306,7 +295,7 @@ _set_groups = TTree.groups.__set__
 
 def _trusted_ttree(label: TypeSymbol, groups: Groups = ()) -> TTree:
     """A `TTree` whose groups are known to be valid: the public
-    constructor's checks are skipped, and nothing is computed."""
+    constructor's checks and grouping are skipped."""
     tree = _new_object(TTree)
     _set_label(tree, label)
     _set_groups(tree, groups)
@@ -350,20 +339,6 @@ def _group(children: Sequence[TTree]) -> Groups:
                 "trees come from incompatible type universes"
             )
     return tuple((t, tuple(buckets[t])) for t in symbols)
-
-
-def ttree(label: TypeSymbol, children: Iterable[TTree] = ()) -> TTree:
-    """Build a T-tree, stably grouping `children` into T-lists by type.
-
-    Children of the same type keep their relative order.  Raises
-    ValueError when two child types carry clashing ranks, which happens
-    only when trees from unrelated type universes are mixed.
-    """
-    children = list(children)
-    for child in children:
-        if not isinstance(child, TTree):
-            raise ValueError(f"a T-list member must be a TTree, got {child!r}")
-    return TTree(label, _group(children) if children else ())
 
 
 def render_ttree(tree: TTree) -> str:

@@ -103,7 +103,12 @@ def _walk(tree: TTree, site: ExtensionSite) -> tuple[TTree, tuple | None]:
 
 
 def apply_extension(tree: TTree, site: ExtensionSite) -> TTree:
-    """The unit extension of `tree` at `site`."""
+    """The unit extension of `tree` at `site`.
+
+    The site is trusted: only sites from `extension_sites(tree, problem)`
+    keep the tree conforming, and a hand-made one can grow a T-list past
+    its cap.  Check such a result with `ttree_conforms`.
+    """
     node, trail = _walk(tree, site)
     members = [m for _, ms in node.groups for m in ms] + [_trusted_ttree(site.leaf_type)]
     return _rise(_trusted_ttree(node.label, _group(members)), trail)

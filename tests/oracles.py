@@ -8,7 +8,7 @@ exhaustive matching instead of canonical forms.  Configurations are
 validated on dicts keyed by object id instead of dense positions.  Tree
 text is read by recursive descent over characters instead of a split
 token list and an explicit stack, and trees are rebuilt without sharing
-by `ttree()`.
+by `TTree(label, children)`.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from ttrees import (
     TTree,
     TypeSymbol,
     UnknownTypeError,
-    ttree,
 )
 
 
@@ -41,7 +40,7 @@ def all_conforming_trees(
             return cache[key]
         component_types = components.get(symbol.name, ())
         if budget == 0 or not component_types:
-            result = [ttree(symbol)]
+            result = [TTree(symbol)]
         else:
             smaller = None if budget is None else budget - 1
             per_type: list[list[tuple[TTree, ...]]] = []
@@ -53,7 +52,7 @@ def all_conforming_trees(
                     sequences.extend(product(subtrees, repeat=length))
                 per_type.append(sequences)
             result = [
-                ttree(symbol, [x for seq in combo for x in seq])
+                TTree(symbol, [x for seq in combo for x in seq])
                 for combo in product(*per_type)
             ]
         cache[key] = result
@@ -172,7 +171,7 @@ def sorted_by_key(tree: TTree, problem: StructuralProblem) -> TTree:
             key=lambda t: order_key(t, problem),
         )
     ]
-    return ttree(tree.label, members)
+    return TTree(tree.label, members)
 
 
 def shuffled(tree: TTree, rng: random.Random) -> TTree:
@@ -183,7 +182,7 @@ def shuffled(tree: TTree, rng: random.Random) -> TTree:
         group = [shuffled(m, rng) for m in group]
         rng.shuffle(group)
         members += group
-    return ttree(tree.label, members)
+    return TTree(tree.label, members)
 
 
 def permutation_variants(tree: TTree) -> set[TTree]:
@@ -197,7 +196,7 @@ def permutation_variants(tree: TTree) -> set[TTree]:
             arrangements.update(permutations(combo))
         per_group.append(arrangements)
     return {
-        ttree(tree.label, [x for seq in choice for x in seq])
+        TTree(tree.label, [x for seq in choice for x in seq])
         for choice in product(*per_group)
     }
 
@@ -252,7 +251,7 @@ def random_tree(problem: StructuralProblem, size: int, rng: random.Random) -> TT
     def freeze(index: int) -> TTree:
         node = nodes[index]
         children = [freeze(c) for kids in node["kids"].values() for c in kids]
-        return ttree(node["sym"], children)
+        return TTree(node["sym"], children)
 
     return freeze(0)
 
@@ -342,12 +341,12 @@ def make_config_oracle(objects, links, problem: StructuralProblem | None = None)
 
 
 def config_tree_oracle(root: int, types, links) -> TTree:
-    """The T-tree of a configuration given as `make_config_oracle`
-    returns it, built by `ttree()` from each object's children."""
+    """The T-tree of a configuration given as `make_config_oracle` returns
+    it, built by `TTree(label, children)` from each object's children."""
     type_of, children_of = dict(types), dict(links)
 
     def build(obj: int) -> TTree:
-        return ttree(type_of[obj], [build(child) for child in children_of[obj]])
+        return TTree(type_of[obj], [build(child) for child in children_of[obj]])
 
     return build(root)
 
@@ -402,11 +401,11 @@ def parse_texts_oracle(texts, problem: StructuralProblem | None = None) -> list[
 
     def build(parsed: tuple) -> TTree:
         name, children = parsed
-        return ttree(types[name], map(build, children))
+        return TTree(types[name], map(build, children))
 
     return list(map(build, found))
 
 
 def unshared(tree: TTree) -> TTree:
-    """An equal tree with no node object used twice, built by `ttree()`."""
-    return ttree(tree.label, [unshared(m) for _, members in tree.groups for m in members])
+    """An equal tree with no node object used twice, built by `TTree()`."""
+    return TTree(tree.label, [unshared(m) for _, members in tree.groups for m in members])

@@ -31,7 +31,6 @@ from ttrees import (
     render_config,
     render_problem,
     render_ttree,
-    ttree,
     ttree_conforms,
     ttree_to_config,
 )
@@ -345,41 +344,31 @@ def test_parse_without_problem_orders_types_by_name():
 
 def test_ttree_factory_rejects_mixed_universes(abcd, pc):
     with pytest.raises(ValueError, match="universes"):
-        ttree(abcd.type("A"), [parse_ttree("B", abcd), parse_ttree("Monitor", pc)])
+        TTree(abcd.type("A"), [parse_ttree("B", abcd), parse_ttree("Monitor", pc)])
 
 
 def test_raw_constructor_checks_its_groups(abcd):
-    a, b, c = (abcd.type(name) for name in "ABC")
-    with pytest.raises(ValueError, match="strictly increasing type order"):
-        TTree(a, ((c, (TTree(c),)), (b, (TTree(b),))))
-    with pytest.raises(ValueError, match="empty T-lists must be omitted"):
-        TTree(a, ((b, ()),))
-    with pytest.raises(ValueError, match="T-list of B contains a C subtree"):
-        TTree(a, ((b, (TTree(c),)),))
-    # Symbols and tuples only, so a tree cannot change after it is built.
-    with pytest.raises(ValueError, match="TypeSymbol label and a tuple of groups"):
-        TTree(a, [(b, (TTree(b),))])
-    with pytest.raises(ValueError, match="TypeSymbol label and a tuple of groups"):
+    a, b = abcd.type("A"), abcd.type("B")
+    with pytest.raises(ValueError, match="TypeSymbol label and an iterable of children"):
         TTree("A")
-    with pytest.raises(ValueError, match="a group needs a TypeSymbol and a tuple T-list"):
-        TTree(a, ((b, [TTree(b)]),))
-    with pytest.raises(ValueError, match="a group needs a TypeSymbol and a tuple T-list"):
-        TTree(a, (("B", (TTree(b),)),))
-    for build in (lambda: TTree(a, ((b, (1,)),)), lambda: ttree(a, [TTree(b), 1])):
-        with pytest.raises(ValueError, match="a T-list member must be a TTree, got 1"):
-            build()
+    with pytest.raises(ValueError, match="TypeSymbol label and an iterable of children"):
+        TTree(a, 1)
+    # Ready-made groups are not children: a group is refused as a member.
+    for children, got in (([TTree(b), 1], "1"), (((b, (TTree(b),)),), r"\(TypeSymbol")):
+        with pytest.raises(ValueError, match="a T-list member must be a TTree, got " + got):
+            TTree(a, children)
 
 
 def test_trees_pickle_and_copy_without_recursion(abcd):
     # A 10**5-level path is far past the interpreter's recursion limit.
     problem = StructuralProblem("A", ["A", "B"], [("A", "B", 1), ("B", "B", 1)], allow_cyclic=True)
-    path = ttree(problem.type("B"))
+    path = TTree(problem.type("B"))
     for _ in range(10**5 - 2):
-        path = ttree(problem.type("B"), [path])
-    path = ttree(problem.type("A"), [path])
+        path = TTree(problem.type("B"), [path])
+    path = TTree(problem.type("A"), [path])
     small = parse_ttree("A(B(D,D),B,C)", abcd)
     # One name, two ranks: the configuration carries the symbols themselves.
-    mixed = ttree(TypeSymbol("A", 0), [ttree(TypeSymbol("B", 1)), ttree(TypeSymbol("B", 2))])
+    mixed = TTree(TypeSymbol("A", 0), [TTree(TypeSymbol("B", 1)), TTree(TypeSymbol("B", 2))])
     for tree in (small, path, mixed):
         assert pickle.loads(pickle.dumps(tree)) == tree
         assert copy.deepcopy(tree) == tree
@@ -453,17 +442,17 @@ def test_conforms_checks_every_child_label(pc):
     root, monitor = pc.root_type, pc.type("Monitor")
     # Equal to the problem's own symbol: the same type, though another object.
     twin = TypeSymbol(monitor.name, monitor.rank)
-    assert ttree_conforms(ttree(root, [ttree(twin)]), pc)
+    assert ttree_conforms(TTree(root, [TTree(twin)]), pc)
     for foreign in (TypeSymbol("Monitor", 99), TypeSymbol("Undeclared", monitor.rank)):
         with pytest.raises(UnknownTypeError):
-            ttree_conforms(ttree(root, [ttree(foreign)]), pc)
+            ttree_conforms(TTree(root, [TTree(foreign)]), pc)
 
 
 def test_trees_with_other_root_labels_are_unequal(abcd):
     b, c, d = (abcd.type(name) for name in "BCD")
     assert TTree(b) != TTree(c)
     assert TTree(b) != TTree(TypeSymbol("B", 9))
-    assert TTree(b, ((d, (TTree(d),)),)) != TTree(c, ((d, (TTree(d),)),))
+    assert TTree(b, [TTree(d)]) != TTree(c, [TTree(d)])
     assert TTree(b) == TTree(TypeSymbol("B", b.rank))
 
 
@@ -483,7 +472,7 @@ def test_type_symbols_are_values():
 
 
 def test_edge_without_relation_is_nonconforming(abcd):
-    tree = ttree(abcd.type("A"), [ttree(abcd.type("D"))])
+    tree = TTree(abcd.type("A"), [TTree(abcd.type("D"))])
     assert not ttree_conforms(tree, abcd)
 
 

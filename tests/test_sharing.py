@@ -3,7 +3,7 @@
 The parsers, `config_to_ttree` and `canonicalize` build one object per
 distinct subtree, and the walkers visit each object once.  Here every
 answer on a shared tree is checked against the same tree rebuilt by
-`ttree()` with no sharing, and against the oracles.
+`TTree(label, children)` with no sharing, and against the oracles.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import pytest
 
 from ttrees import (
     StructuralProblem,
+    TTree,
     TypeSymbol,
     canonicalize,
     chain_problem,
@@ -23,7 +24,6 @@ from ttrees import (
     parse_ttree,
     parse_ttrees,
     render_ttree,
-    ttree,
     ttree_conforms,
     ttree_to_config,
 )
@@ -130,6 +130,6 @@ def test_canonicalize_makes_one_object_per_class(abcd, cyclic):
 def test_canonicalize_shares_members_whose_labels_are_equal():
     # Two separate but equal B symbols label one type, so one class.
     a, b, again, c = TypeSymbol("A", 0), TypeSymbol("B", 1), TypeSymbol("B", 1), TypeSymbol("C", 2)
-    tree = ttree(a, [ttree(b, [ttree(c)]), ttree(again, [ttree(c)])])
+    tree = TTree(a, [TTree(b, [TTree(c)]), TTree(again, [TTree(c)])])
     first, second = canonicalize(tree).groups[0][1]
     assert first is second
