@@ -57,6 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count = commands.add_parser(
         "count", help="exact total and canonical tree counts of a chain problem"
     )
+    count.set_defaults(run=_cmd_count)
     count.add_argument("--depth", type=int, required=True, help="chain depth p")
     count.add_argument("--branch", type=int, required=True, help="branching bound k")
     count.add_argument(
@@ -68,11 +69,13 @@ def _build_parser() -> argparse.ArgumentParser:
     table = commands.add_parser(
         "table", help="grid of total/canonical counts for small chain problems"
     )
+    table.set_defaults(run=_cmd_table)
     table.add_argument("--pmax", type=int, required=True)
     table.add_argument("--kmax", type=int, required=True)
     table.add_argument("--csv", action="store_true", help="emit p,k,N,M rows")
 
     enum = commands.add_parser("enum", help="enumerate the T-trees of a problem file")
+    enum.set_defaults(run=_cmd_enum)
     enum.add_argument("problem", type=Path)
     enum.add_argument(
         "--canonical",
@@ -90,22 +93,26 @@ def _build_parser() -> argparse.ArgumentParser:
     check = commands.add_parser(
         "check", parents=[with_problem], help="test whether a T-tree is canonical"
     )
+    check.set_defaults(run=_cmd_check)
     check.add_argument("expr")
 
     canon = commands.add_parser(
         "canon", parents=[with_problem], help="print the canonical representative of a T-tree"
     )
+    canon.set_defaults(run=_cmd_canon)
     canon.add_argument("expr")
 
     iso = commands.add_parser(
         "iso", parents=[with_problem], help="test whether two T-trees are isomorphic"
     )
+    iso.set_defaults(run=_cmd_iso)
     iso.add_argument("left")
     iso.add_argument("right")
 
     removal = commands.add_parser(
         "removal", parents=[with_problem], help="apply one canonical leaf removal to a T-tree"
     )
+    removal.set_defaults(run=_cmd_removal)
     removal.add_argument("expr")
 
     roundtrip = commands.add_parser(
@@ -114,6 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="read a configuration file, print its T-tree, verify the "
         "conversion is invertible",
     )
+    roundtrip.set_defaults(run=_cmd_roundtrip)
     roundtrip.add_argument("config", type=Path)
 
     return parser
@@ -199,18 +207,6 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "count": _cmd_count,
-    "table": _cmd_table,
-    "enum": _cmd_enum,
-    "check": _cmd_check,
-    "canon": _cmd_canon,
-    "iso": _cmd_iso,
-    "removal": _cmd_removal,
-    "roundtrip": _cmd_roundtrip,
-}
-
-
 def run(argv: Sequence[str] | None = None) -> int:
     """Execute one command; returns the process exit status."""
     try:
@@ -222,7 +218,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:  # the reader left early, as `| head` does

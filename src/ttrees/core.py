@@ -23,6 +23,28 @@ from graphlib import CycleError, TopologicalSorter
 from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
+__all__ = [
+    "ConfigError",
+    "ConfigTree",
+    "ParseError",
+    "ProblemError",
+    "StructuralProblem",
+    "TTree",
+    "TypeSymbol",
+    "UnknownTypeError",
+    "config_to_ttree",
+    "make_config",
+    "parse_config",
+    "parse_problem",
+    "parse_ttree",
+    "parse_ttrees",
+    "render_config",
+    "render_problem",
+    "render_ttree",
+    "ttree_conforms",
+    "ttree_to_config",
+]
+
 
 class ProblemError(ValueError):
     """Raised for an ill-formed structural problem definition."""
@@ -148,9 +170,7 @@ class StructuralProblem:
 
     def symbol_of(self, symbol: TypeSymbol) -> TypeSymbol:
         """Return `symbol` if it is this problem's symbol, else raise."""
-        own = self._by_name.get(symbol.name)
-        if own is None:
-            raise UnknownTypeError(f"unknown type {symbol.name!r}")
+        own = self.type(symbol.name)
         if own != symbol:
             raise UnknownTypeError(
                 f"type symbol {symbol.name!r} was built against a different problem"
@@ -334,11 +354,16 @@ def _group(children: Sequence[TTree]) -> Groups:
     symbols = sorted(buckets, key=lambda t: (t.rank, t.name))
     for left, right in zip(symbols, symbols[1:]):
         if left.rank == right.rank:
-            raise ValueError(
-                f"types {left.name!r} and {right.name!r} share rank {left.rank}; "
-                "trees come from incompatible type universes"
-            )
+            raise _rank_clash(left, right)
     return tuple((t, tuple(buckets[t])) for t in symbols)
+
+
+def _rank_clash(left: TypeSymbol, right: TypeSymbol) -> ValueError:
+    """The error for two distinct types that share a rank."""
+    return ValueError(
+        f"types {left.name!r} and {right.name!r} share rank {left.rank}; "
+        "trees come from incompatible type universes"
+    )
 
 
 def render_ttree(tree: TTree) -> str:

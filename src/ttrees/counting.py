@@ -22,6 +22,15 @@ from dataclasses import dataclass
 
 from .core import StructuralProblem
 
+__all__ = [
+    "CountTable",
+    "approx_canonical",
+    "chain_problem",
+    "comparison_table",
+    "count_all",
+    "count_canonical",
+]
+
 
 _CHUNK = 10**1000  # 1000 digits, under the interpreter's int-to-str limit
 _MAX_DIGITS = 1_000_000  # longer counts take from seconds to hours of big-integer work

@@ -19,7 +19,16 @@ from enum import Enum
 from operator import is_
 from typing import Iterator
 
-from .core import TTree, _levels, _trusted_ttree
+from .core import TTree, _levels, _rank_clash, _trusted_ttree
+
+__all__ = [
+    "TreeOrdering",
+    "canonicalize",
+    "compare",
+    "is_canonical",
+    "is_canonical_counted",
+    "isomorphic",
+]
 
 
 class TreeOrdering(Enum):
@@ -60,10 +69,7 @@ def _compare(a: TTree, b: TTree, count: list[int] | None) -> TreeOrdering:
                     # The tree with children of the earlier type is greater.
                     return _GREATER if ta.rank < tb.rank else _LESS
                 if ta != tb:
-                    raise ValueError(
-                        f"types {ta.name!r} and {tb.name!r} share rank {ta.rank}; "
-                        "trees come from incompatible type universes"
-                    )
+                    raise _rank_clash(ta, tb)
                 if len(la) != len(lb):
                     return _LESS if len(la) < len(lb) else _GREATER
                 k += 1

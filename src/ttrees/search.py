@@ -25,6 +25,17 @@ from typing import Iterable, Iterator
 from .core import StructuralProblem, TTree, TypeSymbol, _group, _trusted_ttree, render_ttree
 from .order import _compare, TreeOrdering
 
+__all__ = [
+    "ExtensionSite",
+    "apply_extension",
+    "canonical_removal",
+    "enumerate_all",
+    "enumerate_canonical",
+    "extension_sites",
+    "is_canonical_incremental",
+    "unit_extensions",
+]
+
 _GREATER = TreeOrdering.GREATER
 
 

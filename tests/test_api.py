@@ -44,6 +44,26 @@ def test_all_names_resolve_once():
     assert missing == []
 
 
+def test_each_module_lists_its_public_definitions():
+    """A new public function or class is one edit: its module's `__all__`,
+    which the package concatenates."""
+    modules = [ttrees.core, ttrees.counting, ttrees.order, ttrees.search]
+    for module in modules:
+        body = ast.parse(Path(module.__file__).read_text(encoding="utf-8")).body
+        public = [
+            node.name
+            for node in body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        assert module.__all__ == sorted(public), module.__name__
+    names = [name for module in modules for name in module.__all__]
+    assert ttrees.__all__ == names
+    assert len(set(names)) == len(names)
+    star: dict = {}
+    exec("from ttrees import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == sorted(names)
+
+
 def test_every_definition_is_referenced():
     texts = {path: path.read_text(encoding="utf-8") for path in CORPUS}
     unused = []

@@ -512,7 +512,7 @@ def test_internal_error_exits_3(monkeypatch, capsys):
     def crash(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "canon", crash)
+    monkeypatch.setattr(cli, "_cmd_canon", crash)
     assert run(["canon", "A"]) == 3
     err = capsys.readouterr().err
     assert "internal error: RuntimeError: boom" in err
@@ -528,7 +528,7 @@ def test_collector_is_paused_during_a_command_and_restored(tmp_path, monkeypatch
         seen.append(gc.isenabled())
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "canon", crash)
+    monkeypatch.setattr(cli, "_cmd_canon", crash)
     calls = [(["roundtrip", str(good)], 0), (["roundtrip", str(bad)], 2), (["canon", "A"], 3)]
     try:
         for enabled in (True, False):

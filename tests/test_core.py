@@ -456,6 +456,18 @@ def test_trees_with_other_root_labels_are_unequal(abcd):
     assert TTree(b) == TTree(TypeSymbol("B", b.rank))
 
 
+def test_a_tree_prints_as_its_text_and_equals_no_other_kind(abcd):
+    tree = parse_ttree("A(C,B(D))", abcd)
+    assert tree.__eq__(5) is NotImplemented
+    assert (tree == 5) is False and (tree != "A(B(D),C)") is True
+    assert str(tree) == render_ttree(tree) == "A(B(D),C)"
+
+
+def test_problems_and_configs_print_their_sizes_not_their_contents(pc):
+    assert repr(pc) == "StructuralProblem(root='PC', types=6, relations=5)"
+    assert repr(parse_config(PC_CONFIG, pc)) == "<ConfigTree root=1 objects=8>"
+
+
 def test_type_symbols_are_values():
     b, again = TypeSymbol("B", 1), TypeSymbol("B", 1)
     assert b is not again and b == again and hash(b) == hash(again)
