@@ -20,7 +20,7 @@ from collections import Counter, defaultdict
 from contextlib import suppress
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, NamedTuple, Sequence
 
 __all__ = [
@@ -295,7 +295,10 @@ class TTree:
 
     @property
     def node_count(self) -> int:
-        return sum(map(len, _levels([self], distinct=False)))
+        size: dict[int, int] = {}  # of each distinct subtree, from the deepest depth up
+        for node in chain.from_iterable(reversed(_levels([self]))):
+            size[id(node)] = 1 + sum(size[id(m)] for _, ms in node.groups for m in ms)
+        return size[id(self)]
 
     @property
     def height(self) -> int:

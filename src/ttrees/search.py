@@ -220,30 +220,51 @@ class _Levels:
         return level
 
 
-def _states(table: list, lo: int, hi: int, r: int, canonical: bool, side: int) -> Iterator[tuple]:
-    """A run's states in tree order, as one side (0 tree, 1 line) of its `r`
-    members' table entries: the first from `lo` to `hi - 2`, the others over
-    `table[:hi]`, or with `canonical` from the first member's entry on."""
-    column = [entry[side] for entry in table[:hi]]
+def _states(column: list, lo: int, end: int, r: int, canonical: bool) -> Iterator[tuple]:
+    """The states of `r` > 0 members over `column` in tree order, the first
+    from `lo` to `end - 1`; with `canonical` only sorted ones."""
     if canonical:
-        return islice(combinations_with_replacement(column[lo:], r), comb(hi - lo + r - 1, r) - 1)
-    return product(column[lo:-1], *[column] * (r - 1))
+        size = comb(len(column) - lo + r - 1, r) - (end < len(column))
+        return islice(combinations_with_replacement(column[lo:], r), size)
+    return product(column[lo:end], *[column] * (r - 1))
 
 
-def _batch(path: list, run: tuple, prefix: str) -> tuple[Iterator[TTree], Iterator[str]]:
-    """The trees and the lines of a run's states, each built when read: the
-    trees along `path`, the lines from `prefix` on."""
+def _batch(path: list, lo: int, parts: list, prefix: str, canonical: bool) -> tuple:
+    """The trees and the lines of a table step's next states, each built when
+    read: the trees along `path`, the lines from `prefix` on.  The run's
+    members step from entry `lo` on, and under each of their states each
+    later list of the node runs through its states by length, over the
+    tables as they are now.  `parts`: (symbol, cap, level) of each list."""
     (node, _, g, members, j, _), trail = path[-1], None
-    for above, _, a, _, i, _ in path[:-1]:  # only ")" follows the run, so each step is last
+    for above, _, a, _, i, _ in path[:-1]:  # only ")" follows the node, so each step is last
         trail = (above, a, i, trail)
+    closers, (symbol, _, sub), *lists = ")" * len(path), *parts
+    spans = [(0, symbol, sub.table, len(sub.table), (len(members) - j,))]
+    spans += [(1, s, v.table, len(v.table), range(c + 1)) for s, c, v in lists]
 
-    def trees() -> Iterator[TTree]:
-        label, groups, symbol, left = node.label, node.groups[:g], node.groups[g][0], members[:j]
-        for states in _states(*run, 0):
-            yield _rise(_trusted_ttree(label, groups + ((symbol, left + states),)), trail)
+    def half(side: int) -> Iterator[Iterable]:
+        """One side's chunks, 0 trees and 1 lines, made when first read."""
+        def start(later, symbol, table, hi, lengths):  # a later list's members bring their comma
+            left, comma, first, end = ((), ",", 0, hi) if later else (members[:j], "", lo, hi - 1)
+            column = [comma + t for _, t in table[:hi]] if side else [t for t, _ in table[:hi]]
+            if side:
+                wrap, empty = (lambda states: map(("" if later else ",").join, states)), ""
+            else:
+                wrap, empty = lambda states: zip(zip(repeat(symbol), map(left.__add__, states))), ()
+            return lambda: chain.from_iterable(
+                wrap(_states(column, first, end, n, canonical)) if n else [empty] for n in lengths)
 
-    texts = chain.from_iterable(starmap(_states, [(*run, 1)]))  # made when first read
-    return trees(), map("".join, zip(repeat(prefix), map(",".join, texts), repeat(")" * len(path))))
+        *outer, last = starmap(start, spans)
+        if side:
+            tail = lambda head: map("".join, zip(repeat(head), last(), repeat(closers)))
+        else:
+            tail = lambda head: (_rise(_trusted_ttree(node.label, head + m), trail) for m in last())
+        for pieces in reversed(outer):  # m later lists come after 2**m states, so m stays small
+            tail = lambda head, pieces=pieces, inner=tail: chain.from_iterable(
+                map(inner, map(head.__add__, pieces())))
+        yield tail(prefix if side else node.groups[:g])
+
+    return chain.from_iterable(half(0)), chain.from_iterable(half(1))
 
 
 def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[Iterable[TTree], Iterable[str]]]:
@@ -257,10 +278,10 @@ def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[Iterable[TTree], It
     there on.  A member that was the last tree of its table adds its
     successor and that line, until the first line that does not fit in the
     budget stops all tables.  A step is a chunk of one tree.  A table step
-    with only tops of its list and ")" to its right, while no table grows,
-    is first a batch of the run's later states, if its table is complete or
-    no top follows, but for those whose first member is the table's last
-    tree: only that one can be the top, and stepping past it grows a table."""
+    with only ")" after its node, while no table grows, is first a batch of
+    the later states whose run starts below its table's last tree (the only
+    possible top; stepping past it grows a table), if the tables the batch
+    reads are complete: the later lists', and its own if a top follows it."""
     build, canonical = _trusted_ttree, levels.canonical
     tree, line = level.leaf, level.label.name
     while True:
@@ -271,12 +292,13 @@ def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[Iterable[TTree], It
             g = len(groups)
             if g:
                 at -= 1  # the closing parenthesis
-            for symbol, cap, sub in reversed(lv.parts or levels.open(lv)):
+            parts, end = lv.parts or levels.open(lv), at  # `end`: where the node's text ends
+            for p, (symbol, cap, sub) in enumerate(reversed(parts)):  # `p` lists after this one
                 members = ()
                 if g and groups[g - 1][0] is symbol:
                     g -= 1
                     members = groups[g][1]
-                k, stop = len(members), at  # `stop`: where the list's text ends
+                k = len(members)
                 while k and members[k - 1] is sub.top:
                     k -= 1
                     at -= sub.width + 1
@@ -295,10 +317,10 @@ def _trees(levels: _Levels, level: _Level) -> Iterator[tuple[Iterable[TTree], It
             if i is not None:  # the member steps to the next tree of its table
                 at -= len(sub.table[i][1])
                 if (i + 2 < len(sub.table) and (k == len(members) or sub.table[-1][0] is sub.top)
-                        and len(line) - stop == len(path)  # only ")" after the run
-                        and all(start is None for *_, start in path)):
-                    run = (sub.table, i + 1, len(sub.table), len(members) - k + 1, canonical)
-                    yield _batch(path, run, line[:at])
+                        and len(line) - end == len(path)  # only ")" after the node
+                        and all(start is None for *_, start in path)
+                        and all(s.table[-1][0] is s.top for *_, s in parts[len(parts) - p :])):
+                    yield _batch(path, i + 1, parts[len(parts) - p - 1 :], line[:at], canonical)
                     i = len(sub.table) - 2
                 tree, text = sub.table[i + 1]
                 pieces = [text]

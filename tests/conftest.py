@@ -7,7 +7,7 @@ import pytest
 from ttrees import StructuralProblem, chain_problem, enumerate_all
 
 
-TIME_LIMIT_S = 120  # about 35 times the slowest test
+TIME_LIMIT_S = 120  # about 20 times the slowest test
 
 
 @pytest.fixture(autouse=True)

@@ -273,12 +273,14 @@ def test_an_unknown_option_is_refused_by_the_parser_it_was_given_to(abcd_file, c
     assert "ttrees enum: error: unrecognized arguments: --foo" in captured.err
 
 
-def test_enum_builds_only_the_trees_of_single_steps(tmp_path, capsys, monkeypatch):
+def test_enum_builds_only_the_trees_of_single_steps(tmp_path, capsys, monkeypatch, wide):
     # `enum` reads the lines of a batch, spliced from its table's lines, and
-    # never its trees; each single step still builds its tree.
-    chain33, cyclic = tmp_path / "chain33.prob", tmp_path / "cyclic.prob"
+    # never its trees; each single step still builds its tree.  On wide, a
+    # step in the root's B list batches the C list's states with it.
+    chain33, cyclic, wide_file = (tmp_path / f"{n}.prob" for n in ("chain33", "cyclic", "wide"))
     chain33.write_text(render_problem(chain_problem(3, 3)))
     cyclic.write_text(CYCLIC_PROBLEM)
+    wide_file.write_text(render_problem(wide))
     built, real = 0, search._trusted_ttree
 
     def counted(label, groups=()):
@@ -290,6 +292,7 @@ def test_enum_builds_only_the_trees_of_single_steps(tmp_path, capsys, monkeypatc
     for argv, lines, bound in [
         (["--canonical", str(chain33)], 8436, 200),
         (["--max-depth", "4", str(cyclic)], 33673, 500),
+        (["--canonical", str(wide_file)], 18876, 150),
     ]:
         built = 0
         assert run(["enum", *argv]) == 0

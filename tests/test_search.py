@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import tracemalloc
 from functools import cmp_to_key
 from itertools import chain, islice, starmap
 from operator import itemgetter
@@ -27,6 +28,7 @@ from ttrees import (
     is_canonical,
     is_canonical_incremental,
     parse_ttree,
+    render_problem,
     render_ttree,
     unit_extensions,
 )
@@ -52,6 +54,14 @@ def diamond_problem(cap: int) -> StructuralProblem:
     return StructuralProblem("R", ["R", "A", "B", "C", "D"], [
         ("R", "A", cap), ("R", "B", cap), ("R", "C", cap),
         ("A", "B", cap), ("B", "C", cap), ("C", "D", cap),
+    ])
+
+
+def three_lists_problem() -> StructuralProblem:
+    """R holds A, B and C, and each of these up to two leaves of its own
+    type: three T-lists at the root, each over a table of three trees."""
+    return StructuralProblem("R", ["R", "A", "B", "C", "X", "Y", "Z"], [
+        ("R", "A", 2), ("R", "B", 2), ("R", "C", 2), ("A", "X", 2), ("B", "Y", 2), ("C", "Z", 2),
     ])
 
 
@@ -205,27 +215,44 @@ def test_enumerate_all_of_cyclic_problem_matches_product_oracle():
 
 @pytest.fixture
 def walk_corpora(abcd, pc, wide, cyclic):
-    # In pc a leaf Mainboard grows two ways; the height bounds stop growth
-    # on the path and on the leaves beside it.
-    return [
+    """(problem, height bound, canonical) runs.  In pc a leaf Mainboard grows
+    two ways; the height bounds stop growth on the path and on the leaves
+    beside it.  Batches over later T-lists come from wide's root, the
+    three-list root and the diamond's.  Unbounded wide runs canonical only:
+    its 435 540 trees are checked by the CI's comparison of `enum` with the
+    library, not against a closure."""
+    runs = [
         (chain_problem(2, 4), None),
         (chain_problem(3, 2), None),
         (abcd, None),
         (pc, None),
         (wide, 1),
         (wide, 2),
+        (three_lists_problem(), None),
         (cyclic, 0),
         (cyclic, 1),
         (cyclic, 3),
         (diamond_problem(1), 3),
         (diamond_problem(1), 4),
     ]
+    both = [(problem, bound, canonical) for problem, bound in runs for canonical in (False, True)]
+    return both + [(wide, None, True)]
+
+
+_closures: dict = {}  # a closure does not depend on the tables' budget, so each is found once
 
 
 def closure(problem, max_height, canonical):
     """The trees reached from the root leaf by unit extensions within the
     height bound, through canonical trees only with `canonical`, sorted
     by `compare`: reverse search's state space, read without its order."""
+    key = (render_problem(problem), max_height, canonical)
+    if key not in _closures:
+        _closures[key] = _closure(problem, max_height, canonical)
+    return _closures[key]
+
+
+def _closure(problem, max_height, canonical):
     root = TTree(problem.root_type)
     reached, frontier = {render_ttree(root): root}, [root]
     while frontier:
@@ -245,15 +272,14 @@ def test_enumeration_streams_the_closure_in_tree_order(walk_corpora, monkeypatch
     # with 40 characters the first tables stop growing in mid-level.
     if table_chars is not None:
         monkeypatch.setattr(search, "_TABLE_CHARS", table_chars)
-    for problem, max_height in walk_corpora:
-        for canonical in (False, True):
-            expected = closure(problem, max_height, canonical)
-            # One tree past the closure is enough to fail a stream that never ends.
-            stream = _enumerate(problem, max_height, canonical)
-            trees = [tree for tree, _ in islice(stream, len(expected) + 1)]
-            for a, b in zip(trees, trees[1:]):
-                assert compare(a, b) is TreeOrdering.LESS
-            assert trees == expected
+    for problem, max_height, canonical in walk_corpora:
+        expected = closure(problem, max_height, canonical)
+        # One tree past the closure is enough to fail a stream that never ends.
+        stream = _enumerate(problem, max_height, canonical)
+        trees = [tree for tree, _ in islice(stream, len(expected) + 1)]
+        for a, b in zip(trees, trees[1:]):
+            assert compare(a, b) is TreeOrdering.LESS
+        assert trees == expected
 
 
 @pytest.mark.parametrize("table_chars", [None, 0, 40])
@@ -263,23 +289,21 @@ def test_chunk_halves_read_after_the_stream_give_its_pairs(walk_corpora, monkeyp
     # lines first, gives the pairs read as the stream went.
     if table_chars is not None:
         monkeypatch.setattr(search, "_TABLE_CHARS", table_chars)
-    for problem, max_height in walk_corpora:
-        for canonical in (False, True):
-            expected = list(_enumerate(problem, max_height, canonical))
-            for trees_first in (True, False):
-                chunks = list(search._enumerate(problem, max_height, canonical))
-                sides = (0, 1) if trees_first else (1, 0)
-                halves = {side: [list(chunk[side]) for chunk in chunks] for side in sides}
-                trees, lines = halves[0], halves[1]
-                assert list(map(len, trees)) == list(map(len, lines))
-                assert [p for ts, ls in zip(trees, lines) for p in zip(ts, ls)] == expected
+    for problem, max_height, canonical in walk_corpora:
+        expected = list(_enumerate(problem, max_height, canonical))
+        for trees_first in (True, False):
+            chunks = list(search._enumerate(problem, max_height, canonical))
+            sides = (0, 1) if trees_first else (1, 0)
+            halves = {side: [list(chunk[side]) for chunk in chunks] for side in sides}
+            trees, lines = halves[0], halves[1]
+            assert list(map(len, trees)) == list(map(len, lines))
+            assert [p for ts, ls in zip(trees, lines) for p in zip(ts, ls)] == expected
 
 
 def _assert_lines_carried(walk_corpora):
-    for problem, max_height in walk_corpora:
-        for canonical in (False, True):
-            for tree, line in _enumerate(problem, max_height, canonical):
-                assert line == render_ttree(tree)
+    for problem, max_height, canonical in walk_corpora:
+        for tree, line in _enumerate(problem, max_height, canonical):
+            assert line == render_ttree(tree)
 
 
 def test_walk_carries_each_tree_line(walk_corpora):
@@ -355,14 +379,19 @@ def test_a_bound_past_a_types_tallest_tree_makes_no_second_level(monkeypatch):
         assert keys[4, canonical] == keys[None, canonical] == [(r, 4 - r) for r in range(5)]
 
 
-def test_batches_read_only_the_table_entries_they_were_yielded_over():
+def test_batches_read_only_the_table_entries_they_were_yielded_over(wide):
     # While each chunk is read, every made table holds one entry more than
     # when the chunk was yielded: a copy of its last.  A batch that read
     # its tables as they are when read, not up to where they ended, would
-    # give more states or others.
-    runs = [(chain_problem(3, 3), 3, True), (cyclic_problem(), 4, False), (cyclic_problem(), 4, True)]
+    # give more states or others.  On wide, a batch at the root runs through
+    # the C list under each state of the B list's run, so the root's number
+    # of T-lists varies within it.  Its canonical run at height 3, its
+    # tallest, is the unbounded one; all its trees up to height 2 are 520.
+    cyclic = cyclic_problem()
+    runs = [(chain_problem(3, 3), 3, True), (cyclic, 4, False), (cyclic, 4, True),
+            (wide, 2, False), (wide, 3, True)]
     for problem, max_height, canonical in runs:
-        levels, batches, pairs = search._Levels(problem, canonical), 0, []
+        levels, batches, spans, pairs = search._Levels(problem, canonical), 0, 0, []
         root = levels.get(problem.root_type.rank, max_height)
         for trees, lines in search._trees(levels, root):
             tables = [level.table for level in levels.made.values()]
@@ -372,9 +401,38 @@ def test_batches_read_only_the_table_entries_they_were_yielded_over():
             for table in tables:
                 table.pop()
             batches += len(trees) > 1
+            spans += len({len(tree.groups) for tree in trees}) > 1
             pairs += zip(trees, lines)
         assert pairs == list(_enumerate(problem, max_height, canonical))
         assert batches
+        assert spans or problem is not wide
+
+
+def test_a_batch_builds_no_state_of_a_later_list_before_it_is_read():
+    # R's B list has 87 381 states, lists of up to eight of B's four trees,
+    # and it runs through all of them under each state of R's A list.  The
+    # first batch over both lists is found by its first two trees, which
+    # differ in the root's number of T-lists.  Its first 10 lines are read
+    # in a few kilobytes; those states' tuples alone take over 5 MiB.
+    problem = StructuralProblem("R", ["R", "A", "B", "C", "D"],
+                                [("R", "A", 2), ("R", "B", 8), ("A", "D", 2), ("B", "C", 3)])
+    for trees, lines in search._enumerate(problem, None, False):
+        first = list(islice(trees, 2))
+        if len(first) == 2 and len(first[0].groups) != len(first[1].groups):
+            break
+    else:
+        pytest.fail("no batch runs over two T-lists")
+    tracemalloc.start()
+    try:
+        read = list(islice(lines, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lists = ["", ",B", ",B(C)", ",B(C,C)", ",B(C,C,C)", ",B,B", ",B,B(C)", ",B,B(C,C)",
+             ",B,B(C,C,C)", ",B(C),B"]
+    assert read == [f"R(A,A(D){b})" for b in lists]
+    assert [render_ttree(tree) for tree in first] == read[:2]
+    assert peak < 1 << 20, peak
 
 
 def test_random_problem_streams_are_pinned():

@@ -21,6 +21,7 @@ from ttrees import (
     config_to_ttree,
     is_canonical,
     isomorphic,
+    make_config,
     parse_ttree,
     parse_ttrees,
     render_ttree,
@@ -133,3 +134,23 @@ def test_canonicalize_shares_members_whose_labels_are_equal():
     tree = TTree(a, [TTree(b, [TTree(c)]), TTree(again, [TTree(c)])])
     first, second = canonicalize(tree).groups[0][1]
     assert first is second
+
+
+def test_node_count_of_a_shared_parse_counts_every_occurrence():
+    # 10 000 objects of a chain of seven types, six to eight children each,
+    # parsed back from their T-tree: the parse holds 208 inner objects, and
+    # the count over them is the configuration's.
+    types = "ABCDEFG"
+    problem = StructuralProblem("A", list(types), [(a, b, 8) for a, b in zip(types, types[1:])])
+    rng = random.Random(2003)
+    objects, links = [(0, "A")], []
+    for parent, name in objects:  # breadth first; the list grows as it is read
+        below = types[types.index(name) + 1 :][:1]
+        for _ in range(rng.randint(6, 8) if below else 0):
+            if len(objects) < 10_000:
+                links.append((parent, len(objects)))
+                objects.append((len(objects), below))
+    config = make_config(objects, links, problem)
+    tree = parse_ttree(render_ttree(config_to_ttree(config)), problem)
+    assert _inner_objects(tree) < 1_000
+    assert tree.node_count == len(config.ids) == 10_000
