@@ -21,7 +21,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from itertools import chain, islice
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "ConfigError",
@@ -158,8 +158,8 @@ class StructuralProblem:
         self._reach, self.is_cyclic = reach, len(reach) < len(caps)
         if self.is_cyclic and not allow_cyclic:
             raise ProblemError(
-                "composition type graph is cyclic; pass allow_cyclic=True and "
-                "enumerate with an explicit height bound"
+                "composition type graph is cyclic; pass allow_cyclic=True, and give "
+                "enumeration a height bound if the root type reaches a cycle"
             )
 
     def type(self, name: str) -> TypeSymbol:
@@ -243,9 +243,9 @@ class TTree:
     types with clashing ranks, which come only from mixing unrelated type
     universes.  Instances are immutable and compare structurally.  The
     parsers, `config_to_ttree` and `canonicalize` share equal subtrees, and
-    the walkers visit each object once; `is` between subtrees is no
-    promise.  No hash is stored; `hash()` renders the tree, so it costs
-    O(n) per call.
+    the walkers visit each object once per depth it occurs at; `is` between
+    subtrees is no promise.  No hash is stored; `hash()` renders the tree,
+    so it costs O(n) per call.
     """
 
     label: TypeSymbol
@@ -296,13 +296,13 @@ class TTree:
     @property
     def node_count(self) -> int:
         size: dict[int, int] = {}  # of each distinct subtree, from the deepest depth up
-        for node in chain.from_iterable(reversed(_levels([self]))):
+        for node in chain.from_iterable(reversed([*_levels([self])])):
             size[id(node)] = 1 + sum(size[id(m)] for _, ms in node.groups for m in ms)
         return size[id(self)]
 
     @property
     def height(self) -> int:
-        return len(_levels([self])) - 1
+        return sum(1 for _ in _levels([self])) - 1
 
     def __str__(self) -> str:
         return render_ttree(self)
@@ -331,13 +331,14 @@ def _shared_ttree(table: dict, label: TypeSymbol, children: list[TTree]) -> TTre
     return table.get(key) or table.setdefault(key, _trusted_ttree(label, _group(children)))
 
 
-def _levels(roots: list[TTree], distinct: bool = True) -> list[list[TTree]]:
-    """The nodes of the forest `roots` depth by depth: the members of one
-    depth's T-lists make up the next, each object once if `distinct`."""
-    levels = [roots]
-    while below := [m for node in levels[-1] for _, ms in node.groups for m in ms]:
-        levels.append(list({id(m): m for m in below}.values()) if distinct else below)
-    return levels
+def _levels(roots: list[TTree]) -> Iterator[list[TTree]]:
+    """Each depth's distinct nodes in the forest `roots`, the next made from
+    the T-lists of the last only when asked, so an early stop builds no more."""
+    level = roots
+    while level:
+        yield level
+        below = [m for node in level for _, ms in node.groups for m in ms]
+        level = below if len(below) < 2 else list({id(m): m for m in below}.values())
 
 
 def _group(children: Sequence[TTree]) -> Groups:
@@ -494,17 +495,13 @@ def ttree_conforms(tree: TTree, problem: StructuralProblem) -> bool:
     """
     if problem.symbol_of(tree.label) is not problem.root_type:
         return False
-    stack, seen, caps, own = [tree], set(), problem._caps, set(problem.types)
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:  # a subtree met again was checked where first met
-            seen.add(id(node))
-            for symbol, members in node.groups:
-                if symbol not in own:  # the problem's own symbols pass as they are
-                    problem.symbol_of(symbol)
-                if len(members) > caps[node.label.rank].get(symbol.rank, 0):
-                    return False
-                stack.extend(members)
+    caps, own = problem._caps, set(problem.types)
+    for node in chain.from_iterable(_levels([tree])):  # a label passed as its parent's T-list type
+        for symbol, members in node.groups:
+            if symbol not in own:  # the problem's own symbols pass as they are
+                problem.symbol_of(symbol)
+            if len(members) > caps[node.label.rank].get(symbol.rank, 0):
+                return False
     return True
 
 

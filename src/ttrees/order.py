@@ -16,6 +16,7 @@ tree-shaped configurations.
 from __future__ import annotations
 
 from enum import Enum
+from itertools import chain
 from operator import is_
 from typing import Iterator
 
@@ -101,16 +102,11 @@ def compare(a: TTree, b: TTree) -> TreeOrdering:
 
 
 def _is_canonical(tree: TTree, count: list[int] | None) -> bool:
-    stack, seen = [tree], set()  # a subtree met again was checked where first met
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            for _, members in node.groups:
-                for x, y in zip(members, members[1:]) if len(members) > 1 else ():
-                    if x is not y and _compare(x, y, count) is _GREATER:
-                        return False
-                stack.extend(members)
+    for node in chain.from_iterable(_levels([tree])):
+        for _, members in node.groups:
+            for x, y in zip(members, members[1:]) if len(members) > 1 else ():
+                if x is not y and _compare(x, y, count) is _GREATER:
+                    return False
     return True
 
 
@@ -125,8 +121,8 @@ def is_canonical_counted(tree: TTree) -> tuple[bool, int]:
     The count is the number of (node, node) comparison steps, the measure
     in which the check is quasilinear: sorted-list verification compares
     adjacent subtrees only, and each such comparison stops at the first
-    structural difference.  A shared subtree is checked once, and adjacent
-    members that are one object are not compared.
+    structural difference.  A shared subtree is checked once per depth it
+    occurs at, and adjacent members that are one object are not compared.
     """
     count = [0]
     result = _is_canonical(tree, count)
@@ -145,7 +141,7 @@ def _class_codes(roots: list[TTree]) -> Iterator[tuple[list[TTree], dict, dict[i
     codes by `id`, and the codes of the depth below.
     """
     codes: dict[int, int] = {}
-    for level in reversed(_levels(roots)):
+    for level in reversed([*_levels(roots)]):
         below, keys = codes, []
         for node in level if len(level) > 1 else ():  # a lone node needs no key
             key = []

@@ -23,7 +23,7 @@ from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .core import StructuralProblem, TTree, TypeSymbol, _group, _trusted_ttree, render_ttree
-from .order import _compare, TreeOrdering
+from .order import _GREATER, _compare
 
 __all__ = [
     "ExtensionSite",
@@ -33,10 +33,7 @@ __all__ = [
     "enumerate_canonical",
     "extension_sites",
     "is_canonical_incremental",
-    "unit_extensions",
 ]
-
-_GREATER = TreeOrdering.GREATER
 
 
 @dataclass(frozen=True)
@@ -123,11 +120,6 @@ def apply_extension(tree: TTree, site: ExtensionSite) -> TTree:
     node, trail = _walk(tree, site)
     members = [m for _, ms in node.groups for m in ms] + [_trusted_ttree(site.leaf_type)]
     return _rise(_trusted_ttree(node.label, _group(members)), trail)
-
-
-def unit_extensions(tree: TTree, problem: StructuralProblem) -> list[TTree]:
-    """Every T-tree obtained by adding one leaf to `tree`, one per site."""
-    return [apply_extension(tree, s) for s in extension_sites(tree, problem)]
 
 
 def is_canonical_incremental(tree: TTree, site: ExtensionSite) -> bool:

@@ -8,7 +8,8 @@ exhaustive matching instead of canonical forms.  Configurations are
 validated on dicts keyed by object id instead of dense positions.  Tree
 text is read by recursive descent over characters instead of a split
 token list and an explicit stack, and trees are rebuilt without sharing
-by `TTree(label, children)`.
+by `TTree(label, children)`.  The one composition of the API under test
+is `unit_extensions`, the growth step as a configurator would write it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from ttrees import (
     TTree,
     TypeSymbol,
     UnknownTypeError,
+    apply_extension,
+    extension_sites,
 )
 
 
@@ -59,6 +62,11 @@ def all_conforming_trees(
         return result
 
     return trees_of(problem.root_type, max_height)
+
+
+def unit_extensions(tree: TTree, problem: StructuralProblem) -> list[TTree]:
+    """Every T-tree obtained by adding one leaf to `tree`, one per site."""
+    return [apply_extension(tree, s) for s in extension_sites(tree, problem)]
 
 
 def relation_queries(problem: StructuralProblem) -> tuple[dict, dict, bool]:

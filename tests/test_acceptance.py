@@ -31,7 +31,6 @@ from ttrees import (
     canonical_removal,
     parse_config,
     render_ttree,
-    unit_extensions,
     StructuralProblem,
     TreeOrdering,
 )
@@ -41,6 +40,7 @@ from oracles import (
     min_variant,
     order_key,
     random_tree,
+    unit_extensions,
 )
 
 SMALL_CHAINS = [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2)]

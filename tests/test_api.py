@@ -77,3 +77,35 @@ def test_every_definition_is_referenced():
             if not word.search(own) and not any(word.search(text) for text in others):
                 unused.append(f"{source.name}: {name}")
     assert unused == []
+
+
+def test_every_private_option_is_passed():
+    """An optional parameter of a module-level `_private` function is passed,
+    by position or by keyword, in some call in `src/`; otherwise its default
+    is the only value and the parameter is a knob that nobody sets.  Calls
+    are matched by name or attribute, so `f(...)` and `module.f(...)` both
+    count for `f`."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES]
+    options = {}  # (function, parameter) -> its position, or None if keyword-only
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                for i in range(len(positional) - len(args.defaults), len(positional)):
+                    options[node.name, positional[i].arg] = i
+                for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                    if default is not None:
+                        options[node.name, arg.arg] = None
+    passed = set()
+    for call in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(call, ast.Call):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            passed.update((name, keyword.arg) for keyword in call.keywords)
+            passed.update((name, i) for i in range(len(call.args)))
+    unset = [
+        f"{function}({parameter})"
+        for (function, parameter), position in options.items()
+        if (function, parameter) not in passed and (function, position) not in passed
+    ]
+    assert unset == []

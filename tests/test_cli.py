@@ -34,12 +34,11 @@ from ttrees import (
     render_ttree,
     ttree_to_config,
     TreeOrdering,
-    unit_extensions,
 )
 from ttrees import cli, search
 from ttrees.cli import run
 from conftest import PC_CONFIG
-from oracles import random_tree
+from oracles import random_tree, unit_extensions
 
 ABCD_PROBLEM = """\
 root A

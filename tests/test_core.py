@@ -129,8 +129,10 @@ def test_zero_cardinality_rejected():
 
 
 def test_cyclic_problem_needs_opt_in():
-    with pytest.raises(ProblemError, match="cyclic"):
+    with pytest.raises(ProblemError, match="cyclic") as refused:
         StructuralProblem("A", ["A", "B"], [("A", "B", 1), ("B", "B", 1)])
+    assert "allow_cyclic=True" in str(refused.value)
+    assert "height bound if the root type reaches a cycle" in str(refused.value)
     p = StructuralProblem(
         "A", ["A", "B"], [("A", "B", 1), ("B", "B", 1)], allow_cyclic=True
     )

@@ -8,6 +8,7 @@ import pytest
 
 from ttrees import (
     StructuralProblem,
+    TTree,
     TreeOrdering,
     canonicalize,
     chain_problem,
@@ -167,6 +168,35 @@ def test_counted_variant_matches(chain22_corpus):
         verdict, comparisons = is_canonical_counted(tree)
         assert verdict == is_canonical(tree)
         assert comparisons >= 0
+
+
+def _abcd_with_two_d_leaves(abcd):
+    a, b, d = map(abcd.type, "ABD")
+    return TTree(a, [TTree(b, [TTree(d)]), TTree(b, [TTree(d)])])
+
+
+def _self_nested(_):
+    problem = StructuralProblem(
+        "R", ["R", "A"], [("R", "A", 2), ("A", "A", 2)], allow_cyclic=True
+    )
+    return parse_ttree("R(A(A(A,A(A))),A(A,A(A)))", problem)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        # Two B(D) objects: one step for the pair and one for their D leaves.
+        (_abcd_with_two_d_leaves, (True, 2)),
+        # Parsed, the two members are one object and are not compared.
+        (lambda abcd: parse_ttree("A(B(D),B(D))", abcd), (True, 0)),
+        # The parser makes `A(A,A(A))` one object at depths 1 and 2, and
+        # its T-list is checked at each depth.
+        (_self_nested, (True, 3)),
+    ],
+    ids=["distinct", "shared", "shared-across-depths"],
+)
+def test_counted_steps_are_exact(abcd, build, expected):
+    assert is_canonical_counted(build(abcd)) == expected
 
 
 def test_canonicity_of_sorted_enumeration():

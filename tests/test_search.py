@@ -30,10 +30,9 @@ from ttrees import (
     parse_ttree,
     render_problem,
     render_ttree,
-    unit_extensions,
 )
 from ttrees import search
-from oracles import all_conforming_trees, random_problem
+from oracles import all_conforming_trees, random_problem, unit_extensions
 
 
 def _enumerate(problem, max_height, canonical):
