@@ -14,6 +14,7 @@ import gc
 import os
 import sys
 import traceback
+from functools import cache
 from itertools import chain, islice
 from pathlib import Path
 from typing import Sequence
@@ -44,6 +45,7 @@ class _Subcommand(argparse.ArgumentParser):
         return namespace, extra
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ttrees",
@@ -57,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     count = commands.add_parser(
         "count", help="exact total and canonical tree counts of a chain problem"
     )
-    count.set_defaults(run=_cmd_count)
+    count.set_defaults(run=_cmd_count.__name__)
     count.add_argument("--depth", type=int, required=True, help="chain depth p")
     count.add_argument("--branch", type=int, required=True, help="branching bound k")
     count.add_argument(
@@ -69,13 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     table = commands.add_parser(
         "table", help="grid of total/canonical counts for small chain problems"
     )
-    table.set_defaults(run=_cmd_table)
+    table.set_defaults(run=_cmd_table.__name__)
     table.add_argument("--pmax", type=int, required=True)
     table.add_argument("--kmax", type=int, required=True)
     table.add_argument("--csv", action="store_true", help="emit p,k,N,M rows")
 
     enum = commands.add_parser("enum", help="enumerate the T-trees of a problem file")
-    enum.set_defaults(run=_cmd_enum)
+    enum.set_defaults(run=_cmd_enum.__name__)
     enum.add_argument("problem", type=Path)
     enum.add_argument(
         "--canonical",
@@ -93,26 +95,26 @@ def _build_parser() -> argparse.ArgumentParser:
     check = commands.add_parser(
         "check", parents=[with_problem], help="test whether a T-tree is canonical"
     )
-    check.set_defaults(run=_cmd_check)
+    check.set_defaults(run=_cmd_check.__name__)
     check.add_argument("expr")
 
     canon = commands.add_parser(
         "canon", parents=[with_problem], help="print the canonical representative of a T-tree"
     )
-    canon.set_defaults(run=_cmd_canon)
+    canon.set_defaults(run=_cmd_canon.__name__)
     canon.add_argument("expr")
 
     iso = commands.add_parser(
         "iso", parents=[with_problem], help="test whether two T-trees are isomorphic"
     )
-    iso.set_defaults(run=_cmd_iso)
+    iso.set_defaults(run=_cmd_iso.__name__)
     iso.add_argument("left")
     iso.add_argument("right")
 
     removal = commands.add_parser(
         "removal", parents=[with_problem], help="apply one canonical leaf removal to a T-tree"
     )
-    removal.set_defaults(run=_cmd_removal)
+    removal.set_defaults(run=_cmd_removal.__name__)
     removal.add_argument("expr")
 
     roundtrip = commands.add_parser(
@@ -121,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="read a configuration file, print its T-tree, verify the "
         "conversion is invertible",
     )
-    roundtrip.set_defaults(run=_cmd_roundtrip)
+    roundtrip.set_defaults(run=_cmd_roundtrip.__name__)
     roundtrip.add_argument("config", type=Path)
 
     return parser
@@ -208,7 +210,8 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Execute one command; returns the process exit status."""
+    """Execute one command; returns the process exit status.  The parser is built on
+    the first call and reused; a handler is looked up by name when its command runs."""
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors and --help, after argparse has printed
@@ -218,7 +221,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        code = args.run(args)
+        code = globals()[args.run](args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:  # the reader left early, as `| head` does

@@ -544,6 +544,48 @@ def test_collector_is_paused_during_a_command_and_restored(tmp_path, monkeypatch
     assert seen == [False, False]
 
 
+def test_a_handler_patched_after_the_parser_is_built_runs(monkeypatch, capsys):
+    assert run(["canon", "A"]) == 0  # the parser exists from here on
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_canon", crash)
+    assert run(["canon", "A"]) == 3
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_repeated_calls_share_one_parser_and_answer_alike(tmp_path, monkeypatch, capsys):
+    problem = tmp_path / "p.prob"
+    problem.write_text(render_problem(chain_problem(2, 2)))
+    calls = [
+        (["enum", "--sorted", str(problem)], 2),
+        (["--help"], 0),
+        (["canon", "A(B("], 2),
+        (["check", "--", "-A"], 2),
+        (["enum", "--canonical", str(problem)], 0),
+        (["iso", "A(B,C(D))", "A(C(D),B)"], 0),
+    ]
+    built = []
+    init = cli._Subcommand.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Subcommand, "__init__", counted)
+    rounds = []
+    for _ in range(2):
+        answers = []
+        for argv, code in calls:
+            assert run(argv) == code, argv
+            answers.append((code, *capsys.readouterr()))
+        rounds.append(answers)
+    assert rounds[0] == rounds[1]
+    assert all(out or err for _, out, err in rounds[0])
+    assert len(built) <= 8  # one subparser per command, built at most once
+
+
 def test_usage_error_exits_2():
     assert run(["count", "--depth", "2"]) == 2
 
